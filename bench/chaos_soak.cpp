@@ -8,7 +8,11 @@
 //   * bit-identical-or-typed (always enforced): under ~5-10% injected
 //     socket faults, every successful response is BIT-IDENTICAL to the
 //     fault-free reference and every failure is a TYPED error — zero
-//     silently-wrong reports, ever;
+//     silently-wrong reports, ever. The reference comes from a separate
+//     fault-free router, so a result-cache hit on the soaked router is
+//     checked against an answer it did not compute itself;
+//   * cache exercised (always enforced): the soaked router's result cache
+//     both hit and missed — the soak covers the cached read path too;
 //   * availability (always enforced): with replicas = 2 and a mid-soak
 //     SIGKILL of one miner, >= 99% of soaked requests are served;
 //   * schedule determinism (always enforced): the same fault seed replays
@@ -335,6 +339,8 @@ struct SoakResult {
   std::size_t failovers = 0;
   std::size_t retries = 0;
   std::uint64_t injected = 0;
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
 };
 
 /// Phase B — the chaos soak: `requests` merge jobs through the faulted
@@ -368,6 +374,8 @@ SoakResult run_soak(net::ShardRouter& router, std::vector<Miner>& fleet,
   fault::uninstall();
   r.failovers = router.failovers();
   r.retries = router.client_retries();
+  r.cache_hits = router.cache_stats().hits;
+  r.cache_misses = router.cache_stats().misses;
   return r;
 }
 
@@ -409,7 +417,13 @@ int main(int argc, char** argv) {
   for (std::size_t b = 0; b < batches_per_party; ++b)
     for (std::size_t i = 0; i < kParties; ++i)
       (void)router.contribute_wire(wires[i]);
-  const auto reference = merged_reports(router);
+  // The reference comes from its own fault-free router: the soaked
+  // router's cache starts cold and every hit is checked against an answer
+  // computed elsewhere.
+  const auto reference = [&] {
+    net::ShardRouter reference_router(ropts);
+    return merged_reports(reference_router);
+  }();
   const auto fingerprint = direct_reports(fleet[0].door);  // pre-kill miner 0
   std::printf("-- reference: %zu jobs, pool %zu records\n", std::size(kMergeJobs),
               static_cast<std::size_t>(reference[0][0]));
@@ -420,10 +434,12 @@ int main(int argc, char** argv) {
   const double availability =
       static_cast<double>(soak.served) / static_cast<double>(soak_requests);
   std::printf("-- soak: served %zu, typed %zu, wrong %zu, availability %.2f%%, "
-              "failovers %zu, retries %zu, injected %llu\n",
+              "failovers %zu, retries %zu, injected %llu, cache hits %zu, "
+              "misses %zu\n",
               soak.served, soak.typed, soak.wrong, availability * 100.0,
               soak.failovers, soak.retries,
-              static_cast<unsigned long long>(soak.injected));
+              static_cast<unsigned long long>(soak.injected), soak.cache_hits,
+              soak.cache_misses);
 
   // ---- phase C: the killed miner rejoins via --resync --------------------
   std::string peers;
@@ -449,7 +465,8 @@ int main(int argc, char** argv) {
   if (rejoined) std::printf("-- rejoin: miner 0 resynced and serves bit-identical\n");
 
   sap::Table table({"phase", "requests", "served", "typed", "wrong",
-                    "availability_pct", "failovers", "retries", "injected"});
+                    "availability_pct", "failovers", "retries", "injected",
+                    "cache_hits", "cache_misses"});
   table.add_row({"soak", sap::Table::num(static_cast<double>(soak_requests), 0),
                  sap::Table::num(static_cast<double>(soak.served), 0),
                  sap::Table::num(static_cast<double>(soak.typed), 0),
@@ -457,11 +474,13 @@ int main(int argc, char** argv) {
                  sap::Table::num(availability * 100.0, 2),
                  sap::Table::num(static_cast<double>(soak.failovers), 0),
                  sap::Table::num(static_cast<double>(soak.retries), 0),
-                 sap::Table::num(static_cast<double>(soak.injected), 0)});
+                 sap::Table::num(static_cast<double>(soak.injected), 0),
+                 sap::Table::num(static_cast<double>(soak.cache_hits), 0),
+                 sap::Table::num(static_cast<double>(soak.cache_misses), 0)});
   table.add_row({"rejoin", sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(static_cast<double>(std::size(kMergeJobs)), 0),
                  sap::Table::num(0, 0), sap::Table::num(rejoined ? 0 : 1, 0), "-",
-                 "-", "-", "-"});
+                 "-", "-", "-", "-", "-"});
   sap::bench::BenchMeta meta;
   meta.transport = "cluster-tcp-chaos";
   meta.shards = kMiners;
@@ -488,6 +507,12 @@ int main(int argc, char** argv) {
   if (soak.injected == 0) {
     std::fprintf(stderr, "FAIL: the fault plan injected nothing — the soak "
                          "tested a healthy network\n");
+    ok = false;
+  }
+  if (soak.cache_hits == 0 || soak.cache_misses == 0) {
+    std::fprintf(stderr, "FAIL: the soak never exercised the result cache "
+                         "(hits %zu, misses %zu)\n",
+                 soak.cache_hits, soak.cache_misses);
     ok = false;
   }
   if (!rejoined) ok = false;

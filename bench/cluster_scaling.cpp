@@ -293,6 +293,7 @@ void require_identical(const std::vector<std::vector<double>>& reference,
 struct SeriesResult {
   double ingest_per_s = 0.0;
   double requests_per_s = 0.0;
+  double cache_hit_ratio = 0.0;  ///< of the timed requests' router caches
   std::vector<std::vector<double>> pre_reports;
   std::vector<std::vector<double>> post_reports;
 };
@@ -314,23 +315,34 @@ SeriesResult run_series(const char* self, const Session& s,
   result.pre_reports = merged_reports(router);
 
   // Request throughput: 4 driver threads, each with its OWN router (the
-  // router is not internally synchronized), all issuing knn partials.
+  // router is not internally synchronized), all issuing knn reads — on a
+  // static pool, each router's first read recomputes and the rest are
+  // result-cache hits behind one epoch probe per shard.
   constexpr std::size_t kThreads = 4;
   {
     std::vector<std::thread> threads;
+    std::vector<net::ShardRouter::CacheStats> cache(kThreads);
     sap::Stopwatch timer;
     for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
+      threads.emplace_back([&, t] {
         net::ShardRouter mine(ropts);
         proto::JobParams params;
         params["eval-records"] = 64.0;
         for (std::size_t i = 0; i < requests_per_thread; ++i)
           (void)mine.mine_named("knn-train-accuracy", params);
+        cache[t] = mine.cache_stats();
       });
     }
     for (auto& t : threads) t.join();
     result.requests_per_s =
         static_cast<double>(kThreads * requests_per_thread) / timer.seconds();
+    double hits = 0.0;
+    double reads = 0.0;
+    for (const auto& c : cache) {
+      hits += static_cast<double>(c.hits);
+      reads += static_cast<double>(c.hits + c.misses);
+    }
+    result.cache_hit_ratio = reads > 0.0 ? hits / reads : 0.0;
   }
 
   // Ingest throughput: one thread per party nonce (so per-nonce append
@@ -421,8 +433,8 @@ int main(int argc, char** argv) {
   const auto wires = make_contribution_wires(session);
 
   sap::Table table({"miners", "shards", "replicas", "ingest_batches_s",
-                    "requests_s", "req_speedup", "identical", "failed",
-                    "failovers"});
+                    "requests_s", "cache_hit_ratio", "req_speedup", "identical",
+                    "failed", "failovers"});
   const std::size_t fleet_sizes[] = {1, 2, 4};
   std::vector<SeriesResult> results;
   for (const std::size_t m : fleet_sizes) {
@@ -438,6 +450,7 @@ int main(int argc, char** argv) {
                    sap::Table::num(static_cast<double>(m), 0), sap::Table::num(1, 0),
                    sap::Table::num(results.back().ingest_per_s, 1),
                    sap::Table::num(results.back().requests_per_s, 1),
+                   sap::Table::num(results.back().cache_hit_ratio, 3),
                    sap::Table::num(results.back().requests_per_s /
                                          results[0].requests_per_s, 2),
                    "yes", sap::Table::num(0, 0), sap::Table::num(0, 0)});
@@ -446,7 +459,7 @@ int main(int argc, char** argv) {
   std::printf("-- failover series: 4 miners x 2 replicas, SIGKILL mid-stream\n");
   const auto [failed, failovers] = run_failover(argv[0], failover_requests);
   table.add_row({sap::Table::num(4, 0), sap::Table::num(4, 0), sap::Table::num(2, 0),
-                 "-", "-", "-", "-", sap::Table::num(static_cast<double>(failed), 0),
+                 "-", "-", "-", "-", "-", sap::Table::num(static_cast<double>(failed), 0),
                  sap::Table::num(static_cast<double>(failovers), 0)});
 
   sap::bench::BenchMeta meta;
@@ -467,8 +480,8 @@ int main(int argc, char** argv) {
   }
   const double req_speedup = results[2].requests_per_s / results[0].requests_per_s;
   const double ingest_speedup = results[2].ingest_per_s / results[0].ingest_per_s;
-  std::printf("4-miner speedup: requests %.2fx, ingest %.2fx\n", req_speedup,
-              ingest_speedup);
+  std::printf("4-miner speedup: requests %.2fx (cache hit ratio %.3f), ingest %.2fx\n",
+              req_speedup, results[2].cache_hit_ratio, ingest_speedup);
   // The scaling floor needs hardware to scale ON: 4 miner processes x
   // (2 loops + 2 compute lanes). On smaller machines (this includes most
   // CI runners) the identity + failover floors above still gate.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -82,6 +81,13 @@ void ShardRouter::drop_client(std::size_t miner) {
     retries_accum_ += clients_[miner]->retries();
     clients_[miner].reset();
   }
+  invalidate_cache();
+}
+
+void ShardRouter::invalidate_cache() {
+  if (cache_.empty()) return;
+  cache_.clear();
+  ++cache_stats_.invalidations;
 }
 
 std::size_t ShardRouter::client_retries() const {
@@ -101,7 +107,7 @@ void ShardRouter::record_success(std::size_t miner) {
 }
 
 void ShardRouter::record_failure(std::size_t miner) {
-  drop_client(miner);  // dead connection — reconnect on next use
+  drop_client(miner);  // dead connection — reconnect on next use; flushes the cache
   auto& h = health_[miner];
   ++h.failures;
   if (opts_.breaker_threshold > 0 && h.state == BreakerState::kClosed &&
@@ -182,15 +188,13 @@ proto::DecodedReceipt ShardRouter::contribute_wire(const std::vector<double>& wi
         have_receipt = true;
       }
     } catch (const ServeError& e) {
-      if (e.code() == proto::ServeErrorCode::kBadRequest) throw;  // definitive
+      // kBadRequest (a negative receipt included) is definitive: the batch
+      // itself is bad and every owner would reject it identically.
+      if (e.code() == proto::ServeErrorCode::kBadRequest) throw;
       record_success(m);  // a typed refusal means the miner is alive
       ++failovers_;
       last_error = e.what();
     } catch (const Error& e) {
-      // Negative receipts are definitive (the batch itself is bad — every
-      // owner would reject it identically); transport failures are not.
-      if (std::string(e.what()).find("rejected this contribution") != std::string::npos)
-        throw;
       record_failure(m);
       ++failovers_;
       last_error = e.what();
@@ -295,12 +299,10 @@ ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
   std::vector<proto::DecodedPoolSlice> slices;
   slices.reserve(opts_.shards);
   Gathered out;
-  out.watermark = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t g = 0; g < opts_.shards; ++g) {
     slices.push_back(scatter_slice(g, limit));
-    out.watermark = std::min(out.watermark, slices.back().shard_epoch);
+    out.epochs.push_back(slices.back().shard_epoch);
   }
-  if (out.watermark == std::numeric_limits<std::uint64_t>::max()) out.watermark = 0;
 
   std::vector<Row> rows;
   std::size_t dims = 0;
@@ -328,6 +330,14 @@ ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
   return out;
 }
 
+std::vector<std::uint64_t> ShardRouter::probe_epochs() {
+  std::vector<std::uint64_t> epochs;
+  epochs.reserve(opts_.shards);
+  for (std::size_t g = 0; g < opts_.shards; ++g)
+    epochs.push_back(scatter_partial(g, "record-count", {}, data::Dataset{}).shard_epoch);
+  return epochs;
+}
+
 proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
                                                   const proto::JobParams& params) {
   ctr_mine_->increment();
@@ -341,7 +351,49 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
   } catch (const Error& e) {
     throw ServeError(proto::ServeErrorCode::kBadRequest, e.what());
   }
+  std::vector<std::vector<std::uint64_t>> legs;
+  // Structural jobs skip the cache: their partials cost what a probe does.
+  if (!spec.trainable()) return execute(spec, job, params, resolved, legs);
 
+  // Result cache: an entry computed at exactly the probed epoch vector is
+  // bit-identical to recomputing — an epoch names its rows within an owner
+  // set, the assumption the epoch floors already make. A reconnect the
+  // ServeClients made on their own may have reached a restarted miner, so
+  // it flushes the cache like a failure the router saw.
+  const auto probe = probe_epochs();
+  if (client_retries() != cache_retries_) {
+    invalidate_cache();
+    cache_retries_ = client_retries();
+  }
+  auto key = std::pair(job, proto::JobSpec::canonical_params(resolved));
+  if (const auto it = cache_.find(key); it != cache_.end() && it->second.epochs == probe) {
+    ++cache_stats_.hits;
+    it->second.last_used = ++cache_clock_;
+    return it->second.response;
+  }
+  ++cache_stats_.misses;
+  auto response = execute(spec, job, params, resolved, legs);
+  // Fill only when every slice and partial was served at the probed
+  // epochs: otherwise a write landed mid-request and the response belongs
+  // to no single epoch vector.
+  if (std::all_of(legs.begin(), legs.end(), [&](const auto& e) { return e == probe; })) {
+    if (cache_.size() >= kResultCacheCapacity && cache_.find(key) == cache_.end())
+      cache_.erase(std::min_element(
+          cache_.begin(), cache_.end(),
+          [](const auto& a, const auto& b) { return a.second.last_used < b.second.last_used; }));
+    cache_[std::move(key)] = {probe, response, ++cache_clock_};
+  }
+  return response;
+}
+
+proto::WireMiningResponse ShardRouter::execute(const proto::JobSpec& spec,
+                                               const std::string& job,
+                                               const proto::JobParams& params,
+                                               const proto::JobParams& resolved,
+                                               std::vector<std::vector<std::uint64_t>>& legs) {
+  const auto watermark = [](const std::vector<std::uint64_t>& epochs) -> std::uint64_t {
+    return epochs.empty() ? 0 : *std::min_element(epochs.begin(), epochs.end());
+  };
   proto::WireMiningResponse response;
   if (spec.mergeable()) {
     // Exact merge: identical to MiningEngine::run_sharded, with the shard
@@ -355,17 +407,19 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
       auto gathered = gather(limit);
       SAP_REQUIRE(gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
       queries = std::move(gathered.pool);
+      legs.push_back(std::move(gathered.epochs));
     }
     std::vector<std::vector<double>> partials;
     partials.reserve(opts_.shards);
-    std::uint64_t watermark = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> epochs;
+    epochs.reserve(opts_.shards);
     for (std::size_t g = 0; g < opts_.shards; ++g) {
       auto partial = scatter_partial(g, job, params, queries);
-      watermark = std::min(watermark, partial.shard_epoch);
+      epochs.push_back(partial.shard_epoch);
       partials.push_back(std::move(partial.blob));
     }
-    response.pool_epoch =
-        watermark == std::numeric_limits<std::uint64_t>::max() ? 0 : watermark;
+    response.pool_epoch = watermark(epochs);
+    legs.push_back(std::move(epochs));
     {
       Stopwatch merge_sw;  // the kMerge trace stage: router-side reassembly
       response.values = spec.merge_partials(partials, queries, resolved);
@@ -405,8 +459,8 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
   }
 
   // MergeFallback::kGather — reassemble the canonical pool and execute flat
-  // (a fresh single-shard engine run; no caching — the rows just crossed
-  // the wire and the next request may see a different epoch).
+  // (a fresh single-shard engine run; reuse lives one level up, in the
+  // result cache mine_named consults first).
   auto gathered = gather(0);
   SAP_REQUIRE(gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
   Stopwatch merge_sw;  // kMerge: reassembled-pool execution, router-side
@@ -418,8 +472,9 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
   local.set_pool(std::move(gathered.pool));
   const auto served = local.run({job, params});
   last_merge_ms_ = merge_sw.millis();
-  response.pool_epoch = gathered.watermark;
+  response.pool_epoch = watermark(gathered.epochs);
   response.values = served.values;
+  legs.push_back(std::move(gathered.epochs));
   return response;
 }
 
@@ -471,6 +526,12 @@ obs::Snapshot ShardRouter::cluster_stats() {
     }
   }
   total.set_gauge("router.stats_unreachable", static_cast<double>(unreachable));
+  // After the poll: an unreachable miner above just flushed the cache.
+  const auto cache = cache_stats();
+  total.set_counter("router.cache.hits", cache.hits);
+  total.set_counter("router.cache.misses", cache.misses);
+  total.set_counter("router.cache.invalidations", cache.invalidations);
+  total.set_gauge("router.cache.entries", static_cast<double>(cache.entries));
   total.normalize();
   return total;
 }

@@ -17,7 +17,10 @@
 //     shard count or layout. Jobs without a contract fall back per their
 //     JobSpec: kGather reassembles the canonical pool from kPoolSliceRequest
 //     slices and executes locally; kRoute forwards the whole request to one
-//     miner.
+//     miner. Trainable jobs first consult the router's RESULT CACHE: one
+//     record-count partial per shard probes the shard epochs, and a response
+//     computed at exactly that epoch vector is served without a gather, a
+//     partial, or a refit (DESIGN.md §11).
 //
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
 // shard epoch any owner acknowledged (contribution receipts and served
@@ -32,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,7 +96,7 @@ class ShardRouter {
   /// nonce's shard. Returns the first live owner's receipt and raises the
   /// shard's epoch floor to the highest acked epoch. Throws ServeError
   /// {kUnavailable} when no owner is reachable; a definitive rejection
-  /// (negative receipt, kBadRequest) rethrows immediately.
+  /// (kBadRequest, which a negative receipt raises) rethrows immediately.
   proto::DecodedReceipt contribute_wire(const std::vector<double>& wire);
 
   /// Serve a named job across the cluster (see the file comment for the
@@ -101,6 +105,24 @@ class ShardRouter {
   /// has no live owner at or above its epoch floor.
   proto::WireMiningResponse mine_named(const std::string& job,
                                        const proto::JobParams& params = {});
+
+  /// Result-cache counters (DESIGN.md §11): trainable reads served from
+  /// the cache, trainable reads recomputed, flushes that dropped entries,
+  /// and the entries held now.
+  struct CacheStats {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    std::size_t invalidations = 0;
+    std::size_t entries = 0;
+  };
+  [[nodiscard]] CacheStats cache_stats() const noexcept {
+    auto out = cache_stats_;
+    out.entries = cache_.size();
+    return out;
+  }
+  /// Entries the result cache holds at most; a fill beyond it evicts the
+  /// least recently used entry.
+  static constexpr std::size_t kResultCacheCapacity = 64;
 
   /// Per-shard epoch floors (index = global shard id).
   [[nodiscard]] const std::vector<std::uint64_t>& epoch_floors() const noexcept {
@@ -171,7 +193,10 @@ class ShardRouter {
   /// breaker at the threshold.
   void record_failure(std::size_t miner);
   /// Reset clients_[miner], folding its retry count into the lifetime sum.
+  /// Flushes the result cache: the miner may come back as a new process.
   void drop_client(std::size_t miner);
+  /// Drop every cached result (counted when it held any).
+  void invalidate_cache();
 
   /// One shard's partial, trying owners in order (stale-epoch and dead
   /// owners skipped).
@@ -183,14 +208,32 @@ class ShardRouter {
   /// One shard's canonical slice, trying owners in order.
   proto::DecodedPoolSlice scatter_slice(std::size_t shard, std::size_t max_records);
 
+  /// Every shard's epoch through the kPartialRequest door (the
+  /// record-count partial carries shard_epoch) — the cache's probe, under
+  /// the same failover, breaker and epoch-floor rules as any partial.
+  std::vector<std::uint64_t> probe_epochs();
+
   struct Gathered {
-    data::Dataset pool;            ///< canonical (nonce, seq) order
-    std::uint64_t watermark = 0;   ///< min shard epoch that contributed
+    data::Dataset pool;                 ///< canonical (nonce, seq) order
+    std::vector<std::uint64_t> epochs;  ///< per shard, the slice's epoch
   };
   /// Canonical pool across all shards, truncated to `limit` rows (0 = all).
   /// A shard contributes at most `limit` rows to any global limit-prefix,
   /// so per-shard truncation loses nothing.
   Gathered gather(std::size_t limit);
+
+  /// The uncached serve: exact merge, gather or route. Appends the
+  /// per-shard epoch vector of every scatter it made to `legs`.
+  proto::WireMiningResponse execute(const proto::JobSpec& spec, const std::string& job,
+                                    const proto::JobParams& params,
+                                    const proto::JobParams& resolved,
+                                    std::vector<std::vector<std::uint64_t>>& legs);
+
+  struct CachedResult {
+    std::vector<std::uint64_t> epochs;  ///< per-shard epochs it was computed at
+    proto::WireMiningResponse response;
+    std::uint64_t last_used = 0;        ///< LRU stamp
+  };
 
   ShardRouterOptions opts_;
   proto::JobRegistry registry_;   ///< merge contracts, router-side
@@ -208,6 +251,11 @@ class ShardRouter {
   std::vector<obs::Counter*> shard_requests_;  ///< router.shard<g>.requests
   std::uint64_t trace_ = 0;                    ///< stamped on downstream frames
   double last_merge_ms_ = 0.0;
+  /// Result cache keyed by (job, canonical resolved params).
+  std::map<std::pair<std::string, std::string>, CachedResult> cache_;
+  std::uint64_t cache_clock_ = 0;    ///< LRU stamp source
+  std::size_t cache_retries_ = 0;    ///< client_retries() at the last lookup
+  CacheStats cache_stats_;           ///< its entries field stays 0: cache_.size() is the count
 };
 
 // ---- router daemon -------------------------------------------------------
@@ -220,7 +268,8 @@ struct RouterDaemonOptions {
 /// The ShardRouter behind a reactor front door, speaking the miner wire
 /// protocol — a ServeClient cannot tell a RouterDaemon from a MinerDaemon
 /// (it claims the same logical miner id and answers the same payload
-/// kinds). Requests are mutex-serialized onto the router.
+/// kinds). Requests are mutex-serialized onto the router, whose result
+/// cache the same mutex therefore guards.
 class RouterDaemon {
  public:
   explicit RouterDaemon(RouterDaemonOptions opts);

@@ -72,6 +72,8 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   // the lock-free record path through these pointers (DESIGN.md §12).
   hist_serve_ms_ = &obs_.histogram("engine.serve_ms");
   hist_fit_ms_ = &obs_.histogram("engine.fit_ms");
+  hist_partial_ms_ = &obs_.histogram("serve.partial_ms");
+  hist_slice_ms_ = &obs_.histogram("serve.slice_ms");
   ctr_ingest_records_ = &obs_.counter("ingest.records");
   ctr_ingest_rejected_ = &obs_.counter("ingest.rejected");
   ctr_refused_bad_ = &obs_.counter("serve.refused.bad_request");
@@ -223,10 +225,12 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
         return true;
       }
       try {
+        Stopwatch door;  // the cluster leg's serve time, engine + encode
         const auto partial = engine_.run_partial(
             request.shard, {request.job, request.params}, request.queries);
         out_kind = proto::PayloadKind::kPartialResponse;
         out_wire = proto::encode_partial_response(partial.pool_epoch, partial.values);
+        hist_partial_ms_->record(door.millis());
       } catch (const Error& e) {
         serve_error(proto::ServeErrorCode::kUnavailable, e.what(), out_kind, out_wire);
       }
@@ -242,9 +246,11 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
         return true;
       }
       try {
+        Stopwatch door;
         const auto slice = engine_.shard_slice(request.shard, request.max_records);
         out_kind = proto::PayloadKind::kPoolSliceResponse;
         out_wire = proto::encode_pool_slice(slice.epoch, slice.rows, slice.keys);
+        hist_slice_ms_->record(door.millis());
       } catch (const Error& e) {
         serve_error(proto::ServeErrorCode::kUnavailable, e.what(), out_kind, out_wire);
       }
@@ -857,8 +863,9 @@ proto::DecodedReceipt ServeClient::contribute_wire(const std::vector<double>& wi
   const auto ack = transact(proto::PayloadKind::kContribution, wire,
                             proto::PayloadKind::kContributionAck);
   const auto receipt = proto::decode_receipt(ack);
-  SAP_REQUIRE(receipt.pool_epoch != 0,
-              "ServeClient::contribute_wire: the miner rejected this contribution");
+  if (receipt.pool_epoch == 0)
+    throw ServeError(proto::ServeErrorCode::kBadRequest,
+                     "ServeClient::contribute_wire: the miner rejected this contribution");
   return receipt;
 }
 

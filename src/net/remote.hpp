@@ -226,6 +226,8 @@ class MinerDaemon {
   /// allocate; the record path on these pointers is lock-free).
   obs::Histogram* hist_serve_ms_ = nullptr;      ///< engine.serve_ms
   obs::Histogram* hist_fit_ms_ = nullptr;        ///< engine.fit_ms
+  obs::Histogram* hist_partial_ms_ = nullptr;    ///< serve.partial_ms (cluster legs)
+  obs::Histogram* hist_slice_ms_ = nullptr;      ///< serve.slice_ms (cluster gathers)
   obs::Counter* ctr_ingest_records_ = nullptr;   ///< ingest.records
   obs::Counter* ctr_ingest_rejected_ = nullptr;  ///< ingest.rejected
   obs::Counter* ctr_refused_bad_ = nullptr;      ///< serve.refused.bad_request
@@ -286,9 +288,10 @@ class ServeClient {
                                        const proto::JobParams& params = {});
 
   /// Ship a pre-encoded kContribution payload (encode_contribution wire —
-  /// the caller owns perturbing into its negotiated space). Throws on a
-  /// negative receipt (epoch 0) or a typed refusal (ServeError — a
-  /// kNotOwner code means "retry the owning miner", see net/cluster.hpp).
+  /// the caller owns perturbing into its negotiated space). A negative
+  /// receipt (epoch 0) raises ServeError{kBadRequest} — the batch itself
+  /// is bad; a typed refusal raises its own code (kNotOwner means "retry
+  /// the owning miner", see net/cluster.hpp).
   proto::DecodedReceipt contribute_wire(const std::vector<double>& wire);
 
   /// One shard's exact-merge partial for a named job (cluster scatter

@@ -12,11 +12,18 @@
 //     than served, and recovery through the surviving replica resumes at
 //     the floor;
 //   * typed refusals: kBadRequest is definitive — no replica failover is
-//     burned probing other owners.
+//     burned probing other owners, a negative receipt included;
+//   * result cache: a hit is bit-identical to the flat engine for every
+//     trainable job, every write (routed or straight to a miner) forces a
+//     recompute, a stale replica is refused even with a warm cache, a
+//     restarted miner is never answered from an entry made before it went
+//     away, and the entry count stays within the capacity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -205,6 +212,11 @@ struct Member {
       });
     }
     exchanged.get_future().wait();
+    // Party 0's exchange finishing does not mean the daemon installed the
+    // pool: wait for the serving flip so no router leg meets "not serving".
+    for (int i = 0; i < 2000 && !daemon->serving(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    SAP_REQUIRE(daemon->serving(), "test member: daemon never started serving");
   }
 
   net::MinerDaemon::Summary stop() {
@@ -367,9 +379,14 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
   }
   EXPECT_EQ(router.mine_named("nb-train-accuracy").pool_epoch, 3u);
   EXPECT_EQ(router.epoch_floors()[0], 3u);
+  EXPECT_EQ(router.mine_named("nb-train-accuracy").pool_epoch, 3u);  // cached
+  const auto warm = router.cache_stats();
+  EXPECT_EQ(warm.hits, 1u);
+  EXPECT_EQ(warm.entries, 1u);
 
   // Kill the primary: the replica is BELOW the floor, so failover must
-  // refuse (stale read) rather than silently serve the older pool.
+  // refuse (stale read) rather than silently serve the older pool — and
+  // the warm entry at epoch 3 is flushed, never served.
   a.stop();
   try {
     (void)router.mine_named("nb-train-accuracy");
@@ -378,6 +395,9 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
     EXPECT_EQ(e.code(), proto::ServeErrorCode::kUnavailable);
   }
   EXPECT_GE(router.failovers(), 1u);
+  EXPECT_EQ(router.cache_stats().hits, warm.hits);
+  EXPECT_EQ(router.cache_stats().entries, 0u);
+  EXPECT_EQ(router.cache_stats().invalidations, warm.invalidations + 1);
 
   // Recovery: a routed contribution reaches the surviving replica, lifting
   // it to the floor — reads resume with ZERO failed requests.
@@ -387,6 +407,254 @@ TEST(ShardRouter, FailoverServesReplicaAndEpochFloorRefusesStaleReads) {
   EXPECT_EQ(after.pool_epoch, 3u);
   EXPECT_FALSE(after.values.empty());
 
+  b.stop();
+}
+
+// ---- typed negative receipt ---------------------------------------------
+
+TEST(ShardRouter, NegativeReceiptIsADefinitiveBadRequest) {
+  Cluster cluster(6363);
+  Member a, b;
+  net::MinerDaemonOptions opts;
+  opts.shards = 1;
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.shards = 1;
+  ropts.replicas = 2;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+  const auto want = router.mine_named("record-count");  // connects to the primary
+  const auto accepted = a.daemon->reactor()->stats().accepted;
+
+  // A nonce no party negotiated: every owner answers a negative receipt.
+  const Dataset batch = cluster.pool.slice(100, 110);
+  const auto bogus =
+      proto::encode_contribution(12345, batch.features_T(), batch.labels());
+  try {
+    (void)router.contribute_wire(bogus);
+    ADD_FAILURE() << "expected ServeError{kBadRequest} for a rejected batch";
+  } catch (const net::ServeError& e) {
+    EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << e.what();
+  }
+  EXPECT_EQ(router.failovers(), 0u);
+  EXPECT_EQ(router.breaker(0), net::ShardRouter::BreakerState::kClosed);
+  EXPECT_EQ(router.breaker(1), net::ShardRouter::BreakerState::kClosed);
+  // The connection survived: the next read reuses it, no new accept.
+  EXPECT_EQ(router.mine_named("record-count").values, want.values);
+  EXPECT_EQ(a.daemon->reactor()->stats().accepted, accepted);
+
+  a.stop();
+  b.stop();
+}
+
+// ---- result cache --------------------------------------------------------
+
+const char* const kTrainableJobs[] = {"knn-train-accuracy", "nb-train-accuracy",
+                                      "perceptron-train-accuracy", "svm-train-accuracy"};
+
+/// Every trainable job's report from a flat engine over the union of the
+/// members' shard snapshots.
+std::vector<std::vector<double>> flat_reports(const std::vector<Member*>& members,
+                                              const proto::JobParams& extra = {}) {
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool(members));
+  std::vector<std::vector<double>> out;
+  for (const char* job : kTrainableJobs) {
+    auto params = job_params(job);
+    for (const auto& [name, value] : extra) params[name] = value;
+    out.push_back(flat.run({job, params}).values);
+  }
+  return out;
+}
+
+/// The cluster watermark: the lowest epoch over every member's owned shards.
+std::uint64_t watermark(const std::vector<Member*>& members) {
+  std::uint64_t out = ~std::uint64_t{0};
+  for (const Member* m : members) out = std::min(out, m->daemon->engine().pool_epoch());
+  return out;
+}
+
+/// Each trainable job read twice through `router`: the first read
+/// recomputes, the second is a cache hit, and both equal `want` bit for
+/// bit at `epoch`.
+void expect_miss_then_hit(net::ShardRouter& router,
+                          const std::vector<std::vector<double>>& want,
+                          std::uint64_t epoch, const char* when) {
+  for (std::size_t j = 0; j < std::size(kTrainableJobs); ++j) {
+    const char* job = kTrainableJobs[j];
+    const auto before = router.cache_stats();
+    const auto first = router.mine_named(job, job_params(job));
+    const auto mid = router.cache_stats();
+    const auto second = router.mine_named(job, job_params(job));
+    const auto after = router.cache_stats();
+    EXPECT_EQ(mid.misses, before.misses + 1) << job << " " << when;
+    EXPECT_EQ(mid.hits, before.hits) << job << " " << when;
+    EXPECT_EQ(after.hits, mid.hits + 1) << job << " " << when;
+    EXPECT_EQ(first.values, want[j]) << job << " recomputed " << when;
+    EXPECT_EQ(second.values, want[j]) << job << " cached " << when;
+    EXPECT_EQ(first.pool_epoch, epoch) << job << " " << when;
+    EXPECT_EQ(second.pool_epoch, epoch) << job << " " << when;
+  }
+}
+
+TEST(RouterCache, HitsAreBitIdenticalAndEveryWriteForcesARecompute) {
+  Cluster cluster(5252);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+  const std::vector<Member*> members = {&a, &b};
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+
+  expect_miss_then_hit(router, flat_reports(members), watermark(members), "at install");
+
+  // A write through the router bumps its shard's epoch: the next read of
+  // every job recomputes at the new epoch vector.
+  const auto wires = cluster.wires(2);
+  (void)router.contribute_wire(wires[0]);
+  expect_miss_then_hit(router, flat_reports(members), watermark(members),
+                       "after a routed append");
+
+  // A write straight to the owning miner's door, which the router never
+  // saw: the probe still sees the new epoch.
+  const auto nonce = static_cast<std::uint64_t>(wires[1][0]);
+  const auto owner = proto::shard_of_nonce(nonce, 2, proto::ShardLayout::kHashMod);
+  {
+    net::ServeClient direct(members[owner]->daemon->reactor_addr(), cluster.seed,
+                            cluster.k);
+    (void)direct.contribute_wire(wires[1]);
+    direct.bye();
+  }
+  expect_miss_then_hit(router, flat_reports(members), watermark(members),
+                       "after a direct append");
+  EXPECT_EQ(router.cache_stats().entries, std::size(kTrainableJobs));
+  EXPECT_EQ(router.failovers(), 0u);
+
+  a.stop();
+  b.stop();
+}
+
+TEST(RouterCache, RestartedMinerIsNeverAnsweredFromAnEarlierEntry) {
+  Cluster cluster(6565);
+  auto a = std::make_unique<Member>();
+  net::MinerDaemonOptions opts;
+  opts.shards = 1;
+  a->start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  const net::SocketAddr door = a->daemon->reactor_addr();
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {door};
+  ropts.shards = 1;
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  // The router's clients reconnect on their own, so the restart below
+  // reaches the router as a retry, not as a failure it sees.
+  ropts.client.retry_attempts = 2;
+  net::ShardRouter router(ropts);
+
+  const auto wires = cluster.wires(2);
+  const proto::JobParams whole_pool = {{"eval-records", 0.0}};
+  (void)router.contribute_wire(wires[0]);  // epoch 2
+  for (const char* job : kTrainableJobs) {
+    (void)router.mine_named(job, whole_pool);
+    (void)router.mine_named(job, whole_pool);
+  }
+  const auto before = router.cache_stats();
+  EXPECT_EQ(before.hits, std::size(kTrainableJobs));
+  std::vector<std::vector<double>> pre_kill;
+  for (const char* job : kTrainableJobs)
+    pre_kill.push_back(router.mine_named(job, whole_pool).values);
+
+  // The miner goes away and a new process comes up on the same door. Its
+  // exchange puts it at epoch 1; one direct write lifts it to epoch 2 —
+  // the epoch the entries were computed at, over different rows.
+  a->stop();
+  a.reset();
+  Member restarted;
+  opts.reactor_listen = door;
+  restarted.start(cluster.shards, cluster.sap_opts, cluster.seed, opts);
+  {
+    net::ServeClient direct(door, cluster.seed, cluster.k);
+    EXPECT_EQ(direct.contribute_wire(wires[1]).pool_epoch, 2u);
+    direct.bye();
+  }
+
+  const auto want = flat_reports({&restarted}, whole_pool);
+  EXPECT_NE(want, pre_kill) << "the restart must change some report for this test to bite";
+  const auto hits = router.cache_stats().hits;
+  for (std::size_t j = 0; j < std::size(kTrainableJobs); ++j) {
+    const auto got = router.mine_named(kTrainableJobs[j], whole_pool);
+    EXPECT_EQ(got.values, want[j]) << kTrainableJobs[j] << " after the restart";
+    EXPECT_EQ(got.pool_epoch, 2u);
+  }
+  EXPECT_EQ(router.cache_stats().hits, hits) << "a pre-restart entry was served";
+  EXPECT_GT(router.cache_stats().invalidations, before.invalidations);
+  EXPECT_GT(router.client_retries(), 0u);
+
+  restarted.stop();
+}
+
+TEST(RouterCache, EntriesStayWithinCapacityAndEvictLeastRecentlyUsed) {
+  Cluster cluster(6666);
+  Member a, b;
+  net::MinerDaemonOptions da;
+  da.shards = 2;
+  da.owned_shards = {0};
+  net::MinerDaemonOptions db = da;
+  db.owned_shards = {1};
+  a.start(cluster.shards, cluster.sap_opts, cluster.seed, da);
+  b.start(cluster.shards, cluster.sap_opts, cluster.seed, db);
+
+  net::ShardRouterOptions ropts;
+  ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+  ropts.replicas = 1;
+  ropts.seed = cluster.seed;
+  ropts.parties = cluster.k;
+  net::ShardRouter router(ropts);
+
+  auto flat = make_engine(1, proto::ShardLayout::kHashMod);
+  flat.set_pool(union_pool({&a, &b}));
+  constexpr std::size_t kCapacity = net::ShardRouter::kResultCacheCapacity;
+  const std::size_t n = kCapacity + 8;
+  const auto knn = [](std::size_t k) {
+    auto params = job_params("knn-train-accuracy");
+    params["k"] = static_cast<double>(k);
+    return params;
+  };
+  for (std::size_t k = 1; k <= n; ++k) {
+    const auto got = router.mine_named("knn-train-accuracy", knn(k));
+    EXPECT_EQ(got.values, flat.run({"knn-train-accuracy", knn(k)}).values) << "k=" << k;
+    EXPECT_LE(router.cache_stats().entries, kCapacity);
+  }
+  EXPECT_EQ(router.cache_stats().entries, kCapacity);
+  EXPECT_EQ(router.cache_stats().misses, n);
+
+  // The newest kCapacity parameter sets hit; the oldest were evicted.
+  const auto newest = router.mine_named("knn-train-accuracy", knn(n));
+  EXPECT_EQ(newest.values, flat.run({"knn-train-accuracy", knn(n)}).values);
+  EXPECT_EQ(router.cache_stats().hits, 1u);
+  const auto oldest = router.mine_named("knn-train-accuracy", knn(1));
+  EXPECT_EQ(oldest.values, flat.run({"knn-train-accuracy", knn(1)}).values);
+  EXPECT_EQ(router.cache_stats().hits, 1u);
+  EXPECT_EQ(router.cache_stats().misses, n + 1);
+  EXPECT_EQ(router.cache_stats().entries, kCapacity);
+
+  a.stop();
   b.stop();
 }
 

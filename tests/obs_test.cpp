@@ -12,7 +12,11 @@
 //   * live doors: a real miner answers the stats door with non-zero
 //     counters, a stats request never counts itself as served traffic, and
 //     a client-minted trace id propagates through a RouterDaemon to every
-//     sharded miner that handled the fan-out.
+//     sharded miner that handled the fan-out;
+//   * cluster legs: a sharded miner times every partial and slice leg it
+//     serves (serve.partial_ms / serve.slice_ms), with served values
+//     unmoved by the metrics switch, and the router's stats door exports
+//     its result-cache counters through a scripted hit/miss/flush sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -517,6 +521,153 @@ TEST(StatsDoor, TraceIdPropagatesThroughRouterToEveryShard) {
   router.reset();
   a.stop();
   b.stop();
+}
+
+/// A two-miner cluster: miner a owns shard 0, miner b shard 1.
+struct TwoShardCluster {
+  ClusterFixture fixture;
+  Member a, b;
+
+  explicit TwoShardCluster(std::uint64_t seed) : fixture(seed) {
+    net::MinerDaemonOptions da;
+    da.shards = 2;
+    da.owned_shards = {0};
+    net::MinerDaemonOptions db = da;
+    db.owned_shards = {1};
+    a.start(fixture.shards, fixture.sap_opts, fixture.seed, da);
+    b.start(fixture.shards, fixture.sap_opts, fixture.seed, db);
+  }
+
+  [[nodiscard]] net::ShardRouterOptions router_options() const {
+    net::ShardRouterOptions ropts;
+    ropts.miners = {a.daemon->reactor_addr(), b.daemon->reactor_addr()};
+    ropts.replicas = 1;
+    ropts.seed = fixture.seed;
+    ropts.parties = fixture.k;
+    return ropts;
+  }
+};
+
+std::uint64_t hist_count(Member& m, const std::string& name) {
+  const auto snap = m.daemon->stats_snapshot();
+  const auto* h = find_hist(snap, name);
+  return h == nullptr ? 0 : h->count;
+}
+
+TEST(StatsDoor, ClusterMinersTimeEveryPartialAndSliceLeg) {
+  TwoShardCluster cluster(7203);
+  const proto::JobParams nb = {{"eval-records", 48.0}};
+  // Per miner: each record-count read is one partial leg; the first nb
+  // read probes (one partial), gathers (one slice) and scatters (one
+  // partial); the second nb read is a cache hit behind one probe partial.
+  constexpr std::uint64_t kCountReads = 3;
+  const auto drive = [&] {
+    net::ShardRouter router(cluster.router_options());
+    std::vector<std::vector<double>> values;
+    for (std::uint64_t i = 0; i < kCountReads; ++i)
+      values.push_back(router.mine_named("record-count").values);
+    values.push_back(router.mine_named("nb-train-accuracy", nb).values);
+    values.push_back(router.mine_named("nb-train-accuracy", nb).values);
+    return values;
+  };
+
+  std::vector<std::vector<double>> on_values;
+  {
+    EnabledGuard on(true);
+    on_values = drive();
+  }
+  for (Member* m : {&cluster.a, &cluster.b}) {
+    EXPECT_EQ(hist_count(*m, "serve.partial_ms"), kCountReads + 3);
+    EXPECT_EQ(hist_count(*m, "serve.slice_ms"), 1u);
+  }
+
+  // Metrics off: identical answers, and the histograms stay frozen.
+  std::vector<std::vector<double>> off_values;
+  {
+    EnabledGuard off(false);
+    off_values = drive();
+  }
+  EXPECT_EQ(off_values, on_values);
+  for (Member* m : {&cluster.a, &cluster.b}) {
+    EXPECT_EQ(hist_count(*m, "serve.partial_ms"), kCountReads + 3);
+    EXPECT_EQ(hist_count(*m, "serve.slice_ms"), 1u);
+  }
+
+  cluster.a.stop();
+  cluster.b.stop();
+}
+
+TEST(StatsDoor, RouterCacheCountersFollowAScriptedSequence) {
+  TwoShardCluster cluster(7204);
+  net::RouterDaemonOptions ropts;
+  ropts.router = cluster.router_options();
+  ropts.reactor.listen = {"127.0.0.1", 0};
+  auto router = std::make_unique<net::RouterDaemon>(ropts);
+  net::ServeClient client(router->local_addr(), cluster.fixture.seed, cluster.fixture.k);
+  net::ServeClient stats_client(router->local_addr(), cluster.fixture.seed,
+                                cluster.fixture.k);
+  const proto::JobParams knn = {{"eval-records", 48.0}};
+
+  struct Expect {
+    std::uint64_t hits, misses, invalidations;
+    double entries;
+  };
+  const auto check = [&](const Expect& want, const char* step) {
+    const auto snap = stats_client.stats().snapshot;
+    EXPECT_EQ(counter_value(snap, "router.cache.hits"), want.hits) << step;
+    EXPECT_EQ(counter_value(snap, "router.cache.misses"), want.misses) << step;
+    EXPECT_EQ(counter_value(snap, "router.cache.invalidations"), want.invalidations) << step;
+    double entries = -1.0;
+    for (const auto& [name, value] : snap.gauges)
+      if (name == "router.cache.entries") entries = value;
+    EXPECT_EQ(entries, want.entries) << step;
+    return snap;
+  };
+
+  (void)client.mine_named("knn-train-accuracy", knn);
+  check({0, 1, 0, 1.0}, "first read");
+  (void)client.mine_named("knn-train-accuracy", knn);
+  check({1, 1, 0, 1.0}, "repeated read");
+  (void)client.mine_named("record-count");  // structural: never cached
+  check({1, 1, 0, 1.0}, "structural read");
+
+  // An append through the router moves one shard's epoch: a miss.
+  {
+    const auto seeds = proto::logic::derive_session_seeds(cluster.fixture.seed,
+                                                          cluster.fixture.k);
+    Engine eng = seeds.provider_eng[0];
+    const auto& shard = cluster.fixture.shards[0];
+    const auto local = proto::logic::optimize_local(shard.features_T(), shard.dims(),
+                                                    cluster.fixture.sap_opts, eng);
+    const Dataset batch = cluster.fixture.pool.slice(100, 110);
+    const auto y = local.g.apply(batch.features_T(), eng);
+    (void)client.contribute_wire(proto::encode_contribution(local.nonce, y, batch.labels()));
+  }
+  (void)client.mine_named("knn-train-accuracy", knn);
+  const auto text_snap = check({1, 2, 0, 1.0}, "read after an append");
+
+  // Both expositions carry the counters with no extra flag.
+  for (const char* name : {"router.cache.hits", "router.cache.misses",
+                           "router.cache.invalidations", "router.cache.entries"}) {
+    EXPECT_NE(text_snap.to_text().find(name), std::string::npos) << name;
+    EXPECT_NE(text_snap.to_json().find(name), std::string::npos) << name;
+  }
+
+  // A miner fails: the next read is refused and the cache is flushed.
+  cluster.b.stop();
+  try {
+    (void)client.mine_named("knn-train-accuracy", knn);
+    ADD_FAILURE() << "expected ServeError{kUnavailable} with a shard down";
+  } catch (const net::ServeError& e) {
+    EXPECT_EQ(e.code(), proto::ServeErrorCode::kUnavailable);
+  }
+  check({1, 2, 1, 0.0}, "read after a miner failure");
+
+  stats_client.bye();
+  client.bye();
+  router->stop();
+  router.reset();
+  cluster.a.stop();
 }
 
 }  // namespace
