@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -299,10 +300,12 @@ ShardRouter::Gathered ShardRouter::gather(std::size_t limit) {
   std::vector<proto::DecodedPoolSlice> slices;
   slices.reserve(opts_.shards);
   Gathered out;
+  out.watermark = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t g = 0; g < opts_.shards; ++g) {
     slices.push_back(scatter_slice(g, limit));
-    out.epochs.push_back(slices.back().shard_epoch);
+    out.watermark = std::min(out.watermark, slices.back().shard_epoch);
   }
+  if (out.watermark == std::numeric_limits<std::uint64_t>::max()) out.watermark = 0;
 
   std::vector<Row> rows;
   std::size_t dims = 0;
@@ -351,37 +354,46 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
   } catch (const Error& e) {
     throw ServeError(proto::ServeErrorCode::kBadRequest, e.what());
   }
-  std::vector<std::vector<std::uint64_t>> legs;
   // Structural jobs skip the cache: their partials cost what a probe does.
-  if (!spec.trainable()) return execute(spec, job, params, resolved, legs);
+  if (!spec.trainable()) return execute(spec, job, params, resolved);
 
   // Result cache: an entry computed at exactly the probed epoch vector is
   // bit-identical to recomputing — an epoch names its rows within an owner
-  // set, the assumption the epoch floors already make. A reconnect the
-  // ServeClients made on their own may have reached a restarted miner, so
-  // it flushes the cache like a failure the router saw.
-  const auto probe = probe_epochs();
-  if (client_retries() != cache_retries_) {
+  // set, the assumption the epoch floors already make. Only a key the cache
+  // holds is probed; a read with nothing to validate goes straight to the
+  // fan-out. A reconnect the ServeClients made on their own may have
+  // reached a restarted miner, so it flushes the cache like a failure the
+  // router saw.
+  const auto flush_on_reconnect = [this] {
+    if (client_retries() == cache_retries_) return;
     invalidate_cache();
     cache_retries_ = client_retries();
-  }
+  };
+  flush_on_reconnect();
   auto key = std::pair(job, proto::JobSpec::canonical_params(resolved));
-  if (const auto it = cache_.find(key); it != cache_.end() && it->second.epochs == probe) {
-    ++cache_stats_.hits;
-    it->second.last_used = ++cache_clock_;
-    return it->second.response;
+  if (cache_.contains(key)) {
+    const auto probe = probe_epochs();
+    flush_on_reconnect();
+    if (const auto it = cache_.find(key); it != cache_.end() && it->second.epochs == probe) {
+      ++cache_stats_.hits;
+      it->second.last_used = ++cache_clock_;
+      return it->second.response;
+    }
   }
   ++cache_stats_.misses;
-  auto response = execute(spec, job, params, resolved, legs);
-  // Fill only when every slice and partial was served at the probed
-  // epochs: otherwise a write landed mid-request and the response belongs
-  // to no single epoch vector.
-  if (std::all_of(legs.begin(), legs.end(), [&](const auto& e) { return e == probe; })) {
-    if (cache_.size() >= kResultCacheCapacity && cache_.find(key) == cache_.end())
+  const auto known = floors_;  // after a probe, the probe's vector
+  auto response = execute(spec, job, params, resolved);
+  // Fill only when every slice and partial was served at `known`. A leg is
+  // never below its shard's floor and raises it to the epoch it served at,
+  // so floors_ still equals `known` exactly when no leg saw a newer epoch.
+  // Otherwise a write landed before or during the request: the response
+  // is served uncached and the next read of the key fills.
+  if (floors_ == known) {
+    if (cache_.size() >= kResultCacheCapacity && !cache_.contains(key))
       cache_.erase(std::min_element(
           cache_.begin(), cache_.end(),
           [](const auto& a, const auto& b) { return a.second.last_used < b.second.last_used; }));
-    cache_[std::move(key)] = {probe, response, ++cache_clock_};
+    cache_[std::move(key)] = {known, response, ++cache_clock_};
   }
   return response;
 }
@@ -389,11 +401,7 @@ proto::WireMiningResponse ShardRouter::mine_named(const std::string& job,
 proto::WireMiningResponse ShardRouter::execute(const proto::JobSpec& spec,
                                                const std::string& job,
                                                const proto::JobParams& params,
-                                               const proto::JobParams& resolved,
-                                               std::vector<std::vector<std::uint64_t>>& legs) {
-  const auto watermark = [](const std::vector<std::uint64_t>& epochs) -> std::uint64_t {
-    return epochs.empty() ? 0 : *std::min_element(epochs.begin(), epochs.end());
-  };
+                                               const proto::JobParams& resolved) {
   proto::WireMiningResponse response;
   if (spec.mergeable()) {
     // Exact merge: identical to MiningEngine::run_sharded, with the shard
@@ -407,19 +415,17 @@ proto::WireMiningResponse ShardRouter::execute(const proto::JobSpec& spec,
       auto gathered = gather(limit);
       SAP_REQUIRE(gathered.pool.size() > 0, "ShardRouter: empty pool across shards");
       queries = std::move(gathered.pool);
-      legs.push_back(std::move(gathered.epochs));
     }
     std::vector<std::vector<double>> partials;
     partials.reserve(opts_.shards);
-    std::vector<std::uint64_t> epochs;
-    epochs.reserve(opts_.shards);
+    std::uint64_t watermark = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t g = 0; g < opts_.shards; ++g) {
       auto partial = scatter_partial(g, job, params, queries);
-      epochs.push_back(partial.shard_epoch);
+      watermark = std::min(watermark, partial.shard_epoch);
       partials.push_back(std::move(partial.blob));
     }
-    response.pool_epoch = watermark(epochs);
-    legs.push_back(std::move(epochs));
+    response.pool_epoch =
+        watermark == std::numeric_limits<std::uint64_t>::max() ? 0 : watermark;
     {
       Stopwatch merge_sw;  // the kMerge trace stage: router-side reassembly
       response.values = spec.merge_partials(partials, queries, resolved);
@@ -472,9 +478,8 @@ proto::WireMiningResponse ShardRouter::execute(const proto::JobSpec& spec,
   local.set_pool(std::move(gathered.pool));
   const auto served = local.run({job, params});
   last_merge_ms_ = merge_sw.millis();
-  response.pool_epoch = watermark(gathered.epochs);
+  response.pool_epoch = gathered.watermark;
   response.values = served.values;
-  legs.push_back(std::move(gathered.epochs));
   return response;
 }
 

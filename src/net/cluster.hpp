@@ -17,10 +17,10 @@
 //     shard count or layout. Jobs without a contract fall back per their
 //     JobSpec: kGather reassembles the canonical pool from kPoolSliceRequest
 //     slices and executes locally; kRoute forwards the whole request to one
-//     miner. Trainable jobs first consult the router's RESULT CACHE: one
-//     record-count partial per shard probes the shard epochs, and a response
-//     computed at exactly that epoch vector is served without a gather, a
-//     partial, or a refit (DESIGN.md §11).
+//     miner. Trainable jobs first consult the router's RESULT CACHE: for a
+//     key it holds, one record-count partial per shard probes the shard
+//     epochs, and a response computed at exactly that epoch vector is
+//     served without a gather, a partial, or a refit (DESIGN.md §11).
 //
 // Consistency: the router tracks a per-shard EPOCH FLOOR — the highest
 // shard epoch any owner acknowledged (contribution receipts and served
@@ -214,20 +214,18 @@ class ShardRouter {
   std::vector<std::uint64_t> probe_epochs();
 
   struct Gathered {
-    data::Dataset pool;                 ///< canonical (nonce, seq) order
-    std::vector<std::uint64_t> epochs;  ///< per shard, the slice's epoch
+    data::Dataset pool;            ///< canonical (nonce, seq) order
+    std::uint64_t watermark = 0;   ///< min shard epoch that contributed
   };
   /// Canonical pool across all shards, truncated to `limit` rows (0 = all).
   /// A shard contributes at most `limit` rows to any global limit-prefix,
   /// so per-shard truncation loses nothing.
   Gathered gather(std::size_t limit);
 
-  /// The uncached serve: exact merge, gather or route. Appends the
-  /// per-shard epoch vector of every scatter it made to `legs`.
+  /// The uncached serve: exact merge, gather or route.
   proto::WireMiningResponse execute(const proto::JobSpec& spec, const std::string& job,
                                     const proto::JobParams& params,
-                                    const proto::JobParams& resolved,
-                                    std::vector<std::vector<std::uint64_t>>& legs);
+                                    const proto::JobParams& resolved);
 
   struct CachedResult {
     std::vector<std::uint64_t> epochs;  ///< per-shard epochs it was computed at

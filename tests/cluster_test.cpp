@@ -520,7 +520,14 @@ TEST(RouterCache, HitsAreBitIdenticalAndEveryWriteForcesARecompute) {
   ropts.parties = cluster.k;
   net::ShardRouter router(ropts);
 
-  expect_miss_then_hit(router, flat_reports(members), watermark(members), "at install");
+  // A fresh router knows no shard epoch: its first read raises the floors,
+  // so that response is served but not cached.
+  const auto install = flat_reports(members);
+  EXPECT_EQ(router.mine_named(kTrainableJobs[0], job_params(kTrainableJobs[0])).values,
+            install[0]);
+  EXPECT_EQ(router.cache_stats().misses, 1u);
+  EXPECT_EQ(router.cache_stats().entries, 0u);
+  expect_miss_then_hit(router, install, watermark(members), "at install");
 
   // A write through the router bumps its shard's epoch: the next read of
   // every job recomputes at the new epoch vector.
