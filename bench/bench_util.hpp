@@ -75,6 +75,49 @@ inline double exact_median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
+/// Median and spread of the per-pair ratios of one metric (paired_ab).
+struct PairedRatio {
+  double median = 0.0;
+  double iqr = 0.0;  ///< q75 - q25 of the per-pair ratios
+};
+
+/// Paired, interleaved A/B trials — the one method every A/B gate uses.
+/// Each of `pairs` pairs runs `a` and `b` back to back, alternating which
+/// goes first, so slow drift (thermal, page cache, a busy neighbour) lands
+/// on both sides alike. `a` and `b` each return the same list of metric
+/// values; result k is the median of the per-pair ratios a_k / b_k, which
+/// one fluke pair cannot move, with their interquartile range to report
+/// how far the median can be trusted. Quantiles interpolate linearly
+/// between the sorted ratios.
+template <typename RunA, typename RunB>
+std::vector<PairedRatio> paired_ab(std::size_t pairs, RunA&& a, RunB&& b) {
+  std::vector<std::vector<double>> ratios;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    std::vector<double> va, vb;
+    if (i % 2 == 0) {
+      va = a();
+      vb = b();
+    } else {
+      vb = b();
+      va = a();
+    }
+    ratios.resize(va.size());
+    for (std::size_t k = 0; k < va.size(); ++k) ratios[k].push_back(va[k] / vb[k]);
+  }
+  const auto quantile = [](const std::vector<double>& sorted, double q) {
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+  };
+  std::vector<PairedRatio> out;
+  for (auto& r : ratios) {
+    std::sort(r.begin(), r.end());
+    out.push_back({quantile(r, 0.5), quantile(r, 0.75) - quantile(r, 0.25)});
+  }
+  return out;
+}
+
 /// Normalized copy of a synthetic UCI dataset (min-max to [0,1], as the
 /// paper's pipeline requires before perturbation).
 inline data::Dataset normalized_uci(const std::string& name, std::uint64_t seed) {

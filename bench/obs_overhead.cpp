@@ -14,8 +14,9 @@
 //
 // Enforced by exit code, not prose:
 //   * overhead bar: metrics-on throughput must be within 3% of metrics-off
-//     on BOTH shapes (best-of-T trials per position; one re-measure round
-//     filters scheduler flukes like socket_throughput's floor check);
+//     on BOTH shapes, judged on the median per-pair on/off req/s ratio of
+//     interleaved on/off leg pairs (bench_util::paired_ab); the ratios'
+//     IQR is reported beside it;
 //   * bit-identity: the FNV-1a digest of every served value must be
 //     IDENTICAL with metrics on and off, and equal to the direct
 //     MiningEngine reference — observability is pure measurement, it never
@@ -223,48 +224,51 @@ struct SocketRig {
   }
 };
 
-/// Best-of-T, alternating positions each trial so drift (thermal, page
-/// cache) hits both equally. Returns {best on, best off} and verifies every
-/// leg's digest matches `expected`.
+/// One shape measured in interleaved on/off leg pairs: every leg's req/s
+/// and latencies per metrics position, the paired on/off req/s ratio, and
+/// whether every leg's digest matched `expected`.
 struct Measured {
-  Leg on, off;
+  std::size_t requests = 0;  ///< per leg
+  std::vector<double> rate_on, rate_off;
   std::vector<double> lat_on, lat_off;
+  sap::bench::PairedRatio ratio;
   bool identical = true;
+  [[nodiscard]] double overhead_pct() const { return 100.0 * (1.0 - ratio.median); }
 };
 
 template <typename RunLeg>
-Measured measure(std::size_t trials, std::uint64_t expected, RunLeg&& run_leg) {
+Measured measure(std::size_t pairs, std::size_t requests, std::uint64_t expected,
+                 RunLeg&& run_leg) {
   Measured m;
-  for (std::size_t t = 0; t < trials; ++t) {
-    for (const bool on : {true, false}) {
-      obs::set_enabled(on);
-      std::vector<double> lat;
-      const Leg leg = run_leg(lat);
-      obs::set_enabled(true);
-      if (leg.digest != expected) m.identical = false;
-      Leg& best = on ? m.on : m.off;
-      if (leg.req_per_sec() > best.req_per_sec()) {
-        best = leg;
-        (on ? m.lat_on : m.lat_off) = std::move(lat);
-      }
-    }
-  }
+  m.requests = requests;
+  const auto leg_at = [&](bool on) {
+    obs::set_enabled(on);
+    const Leg leg = run_leg(on ? m.lat_on : m.lat_off);
+    obs::set_enabled(true);
+    if (leg.digest != expected) m.identical = false;
+    (on ? m.rate_on : m.rate_off).push_back(leg.req_per_sec());
+    return std::vector<double>{leg.req_per_sec()};
+  };
+  m.ratio = sap::bench::paired_ab(
+      pairs, [&] { return leg_at(true); }, [&] { return leg_at(false); })[0];
   return m;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t socket_requests = 4000;
-  std::size_t mining_requests = 400;
-  std::size_t trials = 5;
+  // Many short pairs, not a few long ones: on a shared host the per-pair
+  // on/off ratio spreads by 5-10% (IQR) whether a leg lasts 2 ms or 150 ms,
+  // so the median only tightens with the NUMBER of pairs. A hiccup inside
+  // a short leg spoils one pair, which the median ignores.
+  std::size_t socket_requests = 800;
+  std::size_t mining_requests = 40;
+  std::size_t pairs = 601;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
-      // Legs must run long enough for best-of-T to converge below the bar's
-      // granularity — sub-20ms legs measure scheduler noise, not overhead.
-      socket_requests = 3000;
-      mining_requests = 300;
-      trials = 4;
+      socket_requests = 400;
+      mining_requests = 20;
+      pairs = 301;
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       socket_requests = std::strtoull(argv[++i], nullptr, 10);
     } else {
@@ -295,8 +299,6 @@ int main(int argc, char** argv) {
   const auto hub_addr = daemon.local_addr();
   auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
 
-  std::promise<void> serving_promise;
-  auto serving = serving_promise.get_future();
   std::promise<void> release_promise;
   std::shared_future<void> release(release_promise.get_future());
   std::vector<std::thread> party_threads;
@@ -309,15 +311,18 @@ int main(int argc, char** argv) {
       popts.sap = sap_opts;
       net::PartyClient client(shards[i], popts);
       (void)client.run_exchange();
-      if (i == 0) {
-        (void)client.mine_named(kSocketJob);
-        serving_promise.set_value();
-      }
       release.wait();
       client.finish();
     });
   }
-  serving.wait();
+  // The exchange takes well under a second; a door that is not up after a
+  // minute is a failure, not a slow start.
+  for (int i = 0; i < 60'000 && !daemon.serving(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (!daemon.serving()) {
+    std::fprintf(stderr, "FAIL: the daemon never started serving\n");
+    std::exit(1);  // party threads are still blocked in their exchange
+  }
 
   // Direct-engine reference digests — what every leg must reproduce.
   const std::vector<double> direct_socket_wire = proto::encode_mining_response([&] {
@@ -350,61 +355,33 @@ int main(int argc, char** argv) {
     (void)rig.run(conns, warm);  // one pipelined round proves the path
   }
 
-  auto run_measurements = [&] {
-    Measured mining = measure(trials, expect_mining(mining_requests),
-                              [&](std::vector<double>& lat) {
-                                lat.reserve(mining_requests);
-                                return run_mining_leg(mining_client, mining_requests, lat);
-                              });
-    Measured socket = measure(trials, expect_socket(socket_requests),
-                              [&](std::vector<double>& lat) {
-                                lat.reserve(socket_requests);
-                                return rig.run(socket_requests, lat);
-                              });
-    return std::pair{mining, socket};
-  };
-
-  auto [mining, socket] = run_measurements();
-  const auto overhead_pct = [](const Measured& m) {
-    return 100.0 * (1.0 - m.on.req_per_sec() / m.off.req_per_sec());
-  };
+  const Measured mining = measure(pairs, mining_requests, expect_mining(mining_requests),
+                                  [&](std::vector<double>& lat) {
+                                    return run_mining_leg(mining_client, mining_requests, lat);
+                                  });
+  const Measured socket = measure(pairs, socket_requests, expect_socket(socket_requests),
+                                  [&](std::vector<double>& lat) {
+                                    return rig.run(socket_requests, lat);
+                                  });
   constexpr double kBarPct = 3.0;
-  // One full re-measure round filters scheduler flukes (the same policy as
-  // socket_throughput's scaling-floor check); each position keeps its best.
-  if (overhead_pct(mining) > kBarPct || overhead_pct(socket) > kBarPct) {
-    auto [m2, s2] = run_measurements();
-    const auto keep_best = [](Measured& into, const Measured& redo) {
-      into.identical = into.identical && redo.identical;
-      if (redo.on.req_per_sec() > into.on.req_per_sec()) {
-        into.on = redo.on;
-        into.lat_on = redo.lat_on;
-      }
-      if (redo.off.req_per_sec() > into.off.req_per_sec()) {
-        into.off = redo.off;
-        into.lat_off = redo.lat_off;
-      }
-    };
-    keep_best(mining, m2);
-    keep_best(socket, s2);
-  }
 
   release_promise.set_value();
   for (auto& t : party_threads) t.join();
   (void)daemon_future.get();
 
-  Table table({"shape", "metrics", "trials", "requests", "req/s", "p50 us", "p99 us",
-               "overhead %", "identical"});
-  const auto add = [&](const char* shape, const char* metrics, const Leg& leg,
-                       const std::vector<double>& lat, double ovh, bool identical) {
-    const auto s = sap::bench::summarize_latency(lat);
-    table.add_row({shape, metrics, std::to_string(trials), std::to_string(leg.completed),
-                   Table::num(leg.req_per_sec(), 1), Table::num(s.p50, 1),
-                   Table::num(s.p99, 1), Table::num(ovh, 2), identical ? "yes" : "NO"});
+  Table table({"shape", "metrics", "pairs", "requests", "req/s", "p50 us", "p99 us",
+               "overhead %", "overhead iqr %", "identical"});
+  const auto add = [&](const char* shape, bool on, const Measured& m) {
+    const auto s = sap::bench::summarize_latency(on ? m.lat_on : m.lat_off);
+    table.add_row({shape, on ? "on" : "off", std::to_string(pairs), std::to_string(m.requests),
+                   Table::num(sap::bench::exact_median(on ? m.rate_on : m.rate_off), 1),
+                   Table::num(s.p50, 1), Table::num(s.p99, 1), Table::num(m.overhead_pct(), 2),
+                   Table::num(100.0 * m.ratio.iqr, 2), m.identical ? "yes" : "NO"});
   };
-  add("mining", "on", mining.on, mining.lat_on, overhead_pct(mining), mining.identical);
-  add("mining", "off", mining.off, mining.lat_off, overhead_pct(mining), mining.identical);
-  add("socket", "on", socket.on, socket.lat_on, overhead_pct(socket), socket.identical);
-  add("socket", "off", socket.off, socket.lat_off, overhead_pct(socket), socket.identical);
+  add("mining", true, mining);
+  add("mining", false, mining);
+  add("socket", true, socket);
+  add("socket", false, socket);
   sap::bench::emit_table("obs_overhead", table,
                          {.transport = "epoll-reactor", .threads = 2});
 
@@ -417,17 +394,17 @@ int main(int argc, char** argv) {
                    name);
       ok = false;
     }
-    if (overhead_pct(m) > kBarPct) {
-      std::fprintf(stderr, "FAIL: %s shape metrics overhead %.2f%% exceeds the %.0f%% bar "
-                           "(on %.1f req/s vs off %.1f req/s)\n",
-                   name, overhead_pct(m), kBarPct, m.on.req_per_sec(),
-                   m.off.req_per_sec());
+    if (m.overhead_pct() > kBarPct) {
+      std::fprintf(stderr, "FAIL: %s shape metrics overhead %.2f%% (iqr %.2f%%) exceeds the "
+                           "%.0f%% bar\n",
+                   name, m.overhead_pct(), 100.0 * m.ratio.iqr, kBarPct);
       ok = false;
     }
   }
-  std::printf("\nmetrics overhead: mining %.2f%%, socket %.2f%% (bar %.0f%%); "
-              "served values bit-identical on/off: %s\n",
-              overhead_pct(mining), overhead_pct(socket), kBarPct,
+  std::printf("\nmetrics overhead over %zu pairs: mining %.2f%% (iqr %.2f%%), socket %.2f%% "
+              "(iqr %.2f%%) (bar %.0f%%); served values bit-identical on/off: %s\n",
+              pairs, mining.overhead_pct(), 100.0 * mining.ratio.iqr, socket.overhead_pct(),
+              100.0 * socket.ratio.iqr, kBarPct,
               mining.identical && socket.identical ? "yes" : "NO");
   return ok ? 0 : 1;
 }

@@ -64,15 +64,14 @@ int main() {
                 proto::to_string(stats.phase).c_str(), stats.millis, stats.messages,
                 static_cast<double>(stats.total_bytes) / 1024.0);
 
-  // One exchange serves many mining jobs: train the SVM, then re-mine the
-  // pooled unified space with a second named job at zero exchange cost.
-  double miner_train_acc = 0.0;
-  const proto::SapResult result = session.mine([&](const data::Dataset& unified) {
-    ml::Svm svm;
-    svm.fit(unified);
-    miner_train_acc = ml::accuracy(svm, unified);
-    return std::vector<double>{miner_train_acc};
-  });
+  // One exchange serves many mining jobs: train the SVM (the named job's
+  // defaults, c = 4 and the scale-heuristic gamma, are ml::SvmOptions'),
+  // then re-mine the pooled unified space with a second named job at zero
+  // exchange cost.
+  const proto::SapResult result = session.mine_named("svm-train-accuracy");
+  // The fitted model is cached, so reading its report back is a cache hit.
+  const double miner_train_acc =
+      session.engine().run({"svm-train-accuracy", {}}).values.front();
   const proto::SapResult knn_result = session.mine_named("knn-train-accuracy");
 
   std::printf("\nminer unified %zu records in the target space (SVM train acc %.1f%%)\n",

@@ -64,6 +64,8 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
                .owned = opts_.owned_shards}),
       minter_(opts_.seed) {
   SAP_REQUIRE(opts_.parties >= 3, "MinerDaemon: need at least 3 parties");
+  SAP_REQUIRE(opts_.reactor_loops >= 1,
+              "MinerDaemon: reactor_loops must be >= 1 (the reactor is the serving door)");
   const auto seeds = proto::logic::derive_session_seeds(opts_.seed, opts_.parties);
   secret_ = seeds.session_secret;
   hub_ = TcpTransport::listen(opts_.listen, secret_, opts_.tcp);
@@ -80,25 +82,18 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
   ctr_refused_owner_ = &obs_.counter("serve.refused.not_owner");
   ctr_refused_unavail_ = &obs_.counter("serve.refused.unavailable");
   g_ingest_epoch_ = &obs_.gauge("ingest.epoch");
-  if (opts_.reactor_loops > 0) {
-    ReactorOptions ropts;
-    ropts.listen = opts_.reactor_listen;
-    ropts.loops = opts_.reactor_loops;
-    ropts.compute_threads = opts_.reactor_compute_threads;
-    ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
-    ropts.max_frame_body = opts_.tcp.max_frame_body;
-    ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
-    // The front door binds (and accepts) immediately so its address can be
-    // advertised next to the hub's; serve_frame refuses every request until
-    // the exchange installs the pool (serving_ flips in run()).
-    reactor_ = std::make_unique<Reactor>(
-        ropts, [this](const Frame& frame) { return serve_frame(frame); });
-  }
-}
-
-SocketAddr MinerDaemon::reactor_addr() const {
-  SAP_REQUIRE(reactor_ != nullptr, "MinerDaemon: reactor front door is disabled");
-  return reactor_->local_addr();
+  ReactorOptions ropts;
+  ropts.listen = opts_.reactor_listen;
+  ropts.loops = opts_.reactor_loops;
+  ropts.compute_threads = opts_.reactor_compute_threads;
+  ropts.idle_timeout_ms = opts_.reactor_idle_timeout_ms;
+  ropts.max_frame_body = opts_.tcp.max_frame_body;
+  ropts.metrics = &obs_;  // reactor.queue_wait_ms / handler_ms / writev_batch
+  // The serving door binds (and accepts) immediately so its address can be
+  // advertised next to the hub's; serve_frame refuses every request until
+  // the exchange installs the pool (serving_ flips in run()).
+  reactor_ = std::make_unique<Reactor>(
+      ropts, [this](const Frame& frame) { return serve_frame(frame); });
 }
 
 void MinerDaemon::note(const std::string& line) const {
@@ -281,8 +276,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
       return true;
     }
     case proto::PayloadKind::kStatsRequest: {
-      // The stats door rides the SAME dispatch as serving traffic, so hub-
-      // and reactor-fetched snapshots are assembled identically. It does
+      // The stats door rides the SAME dispatch as serving traffic. It does
       // not count toward requests_served_ (pure measurement must not move
       // the serving counters it reports).
       proto::decode_stats_request(payload);
@@ -337,21 +331,19 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
     snap.set_gauge("pool.snapshot_refs", static_cast<double>(refs));
     snap.set_gauge("ingest.watermark_lag", static_cast<double>(max_epoch - watermark));
   }
-  if (reactor_) {
-    const auto rs = reactor_->stats();
-    snap.set_counter("reactor.accepted", rs.accepted);
-    snap.set_counter("reactor.refused", rs.refused);
-    snap.set_counter("reactor.evicted_idle", rs.evicted_idle);
-    snap.set_counter("reactor.requests", rs.requests);
-    snap.set_counter("reactor.responses", rs.responses);
-    snap.set_counter("reactor.shed", rs.shed);
-    snap.set_gauge("reactor.live", static_cast<double>(rs.live));
-    snap.set_gauge("reactor.queue_depth", static_cast<double>(rs.queue_depth));
-    for (std::size_t i = 0; i < rs.loop_conns.size(); ++i)
-      snap.set_gauge("reactor.loop" + std::to_string(i) + ".conns",
-                     static_cast<double>(rs.loop_conns[i]));
-    snap.set_counter("reactor.compute.tasks", reactor_->compute_stats().tasks);
-  }
+  const auto rs = reactor_->stats();
+  snap.set_counter("reactor.accepted", rs.accepted);
+  snap.set_counter("reactor.refused", rs.refused);
+  snap.set_counter("reactor.evicted_idle", rs.evicted_idle);
+  snap.set_counter("reactor.requests", rs.requests);
+  snap.set_counter("reactor.responses", rs.responses);
+  snap.set_counter("reactor.shed", rs.shed);
+  snap.set_gauge("reactor.live", static_cast<double>(rs.live));
+  snap.set_gauge("reactor.queue_depth", static_cast<double>(rs.queue_depth));
+  for (std::size_t i = 0; i < rs.loop_conns.size(); ++i)
+    snap.set_gauge("reactor.loop" + std::to_string(i) + ".conns",
+                   static_cast<double>(rs.loop_conns[i]));
+  snap.set_counter("reactor.compute.tasks", reactor_->compute_stats().tasks);
   if (fault::enabled()) {
     // Chaos visibility: when this process injects socket faults, the stats
     // door says so — an operator reading surprising retry counters can tell
@@ -396,8 +388,8 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
     proto::PayloadKind out_kind{};
     std::vector<double> out_wire;
     SAP_REQUIRE(serve_payload(kind, payload, out_kind, out_wire),
-                "MinerDaemon: the front door serves only contributions, mining "
-                "requests, partials, pool slices, and stats");
+                "MinerDaemon: the serving door serves only contributions, mining "
+                "requests, partials, pool slices, shard snapshots, and stats");
     const std::uint64_t t_served = steady_now_ns();
     rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
         static_cast<double>(t_served - t_decoded) / 1e6;
@@ -414,8 +406,8 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
         static_cast<double>(steady_now_ns() - t_served) / 1e6;
     if (traced) traces_.push(std::move(rec));
   } catch (const Error& e) {
-    // Per-request containment, same policy as the hub loop — answer kError
-    // so the client fails fast instead of timing out.
+    // Per-request containment — answer kError so the client fails fast
+    // instead of timing out.
     note(std::string("reactor rejected request: ") + e.what());
     Frame err;
     err.type = FrameType::kError;
@@ -434,17 +426,12 @@ MinerDaemon::Summary MinerDaemon::run() {
   Summary summary;
 
   // ---- exchange: collect k forwarded shards + k aligned adaptors --------
-  // There are no global phase barriers across processes: a fast party's
-  // contribution or mining request can arrive while slower shards are still
-  // in flight, so serving traffic is parked and replayed after the pool is
-  // installed.
   // Shards and adaptors are keyed by nonce, and the exchange completes
   // when k nonces have BOTH — a duplicate or an unmatched surplus entry
   // (a re-sent shard, a confused or hostile client) is rejected or simply
   // never pairs up, instead of corrupting the completion count.
   std::map<std::uint64_t, proto::logic::MinerShard> shards;
   std::map<std::uint64_t, perturb::SpaceAdaptor> adaptors;
-  std::vector<proto::Transport::Delivery> parked;
   const auto matched = [&] {
     std::size_t n = 0;
     for (const auto& [nonce, shard] : shards) n += adaptors.count(nonce);
@@ -474,12 +461,12 @@ MinerDaemon::Summary MinerDaemon::run() {
       continue;
     }
     if (!got) continue;  // loop re-checks the deadline
-    if (msg.kind == proto::PayloadKind::kContribution ||
-        msg.kind == proto::PayloadKind::kMiningRequest) {
-      parked.push_back(std::move(msg));  // a fast party got ahead — serve later
-      continue;
-    }
     try {
+      if (msg.kind != proto::PayloadKind::kForwardedData &&
+          msg.kind != proto::PayloadKind::kAdaptorSequence) {
+        refuse_on_hub(msg);
+        continue;
+      }
       const std::span<const double> payload(msg.payload);
       SAP_REQUIRE(!payload.empty(), "empty payload during the exchange");
       // Wire payloads are adversarial input: the cast below is UB for
@@ -497,13 +484,11 @@ MinerDaemon::Summary MinerDaemon::run() {
                                     nonce, msg.from, proto::decode_dataset(payload.subspan(1))})
                 .second,
             "duplicate shard for a nonce");
-      } else if (msg.kind == proto::PayloadKind::kAdaptorSequence) {
+      } else {
         SAP_REQUIRE(
             adaptors.emplace(nonce, perturb::SpaceAdaptor::deserialize(payload.subspan(1)))
                 .second,
             "duplicate adaptor for a nonce");
-      } else {
-        SAP_FAIL("unexpected " + to_string(msg.kind) + " during the exchange");
       }
     } catch (const Error& e) {
       note(std::string("rejected message during the exchange: ") + e.what());
@@ -577,53 +562,22 @@ MinerDaemon::Summary MinerDaemon::run() {
   // may start dispatching the moment this store is visible.
   serving_.store(true, std::memory_order_release);
 
-  // ---- serve until every party has said goodbye -------------------------
-  std::size_t parked_pos = 0;
-  while (parked_pos < parked.size() || hub_->live_connections() > 0 ||
-         hub_->has_mail(miner_id_)) {
+  // ---- the hub carries the exchange only --------------------------------
+  // Serving happens at the reactor door; wait here until every exchange
+  // connection has closed, still containing each message on its own (a
+  // corrupt envelope throws inside try_receive).
+  while (hub_->live_connections() > 0 || hub_->has_mail(miner_id_)) {
     proto::Transport::Delivery msg;
-    if (parked_pos < parked.size()) {
-      msg = std::move(parked[parked_pos++]);
-    } else {
-      // try_receive decrypts — a corrupt envelope (wrong link key, flipped
-      // ciphertext) throws HERE and must be contained per-message too.
-      try {
-        if (!hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) continue;
-      } catch (const Error& e) {
-        note(std::string("rejected message: ") + e.what());
-        continue;
-      }
-    }
     try {
-      proto::PayloadKind out_kind{};
-      std::vector<double> out_wire;
-      // The hub transport decrypts inside try_receive, so the hub door
-      // sees only decoded payloads: its traces carry serve + write stages
-      // and always mint (Delivery has no frame-level trace field).
-      const std::uint64_t t0 = steady_now_ns();
-      if (serve_payload(msg.kind, msg.payload, out_kind, out_wire)) {
-        const std::uint64_t t1 = steady_now_ns();
-        hub_->send(miner_id_, msg.from, out_kind, out_wire);
-        if (obs::enabled() && msg.kind != proto::PayloadKind::kStatsRequest) {
-          obs::TraceRecord rec;
-          rec.id = minter_.mint();
-          rec.op = proto::to_string(msg.kind);
-          rec.stage_ms[static_cast<std::size_t>(obs::Stage::kServe)] =
-              static_cast<double>(t1 - t0) / 1e6;
-          rec.stage_ms[static_cast<std::size_t>(obs::Stage::kWrite)] =
-              static_cast<double>(steady_now_ns() - t1) / 1e6;
-          traces_.push(std::move(rec));
-        }
-      }
+      if (hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) refuse_on_hub(msg);
     } catch (const Error& e) {
-      // One malformed message must not take the daemon down.
       note(std::string("rejected message: ") + e.what());
     }
   }
 
-  // The parties are gone: close the front door too (joins its threads), so
+  // The parties are gone: close the serving door too (joins its threads), so
   // the counters below are final and destruction order never matters.
-  if (reactor_) reactor_->stop();
+  reactor_->stop();
 
   if (engine_.total_shards() == 1) {
     const auto view = engine_.pool_view();
@@ -649,6 +603,27 @@ MinerDaemon::Summary MinerDaemon::run() {
   summary.contributions = contributions_.load(std::memory_order_relaxed);
   summary.requests_served = requests_served_.load(std::memory_order_relaxed);
   return summary;
+}
+
+void MinerDaemon::refuse_on_hub(const proto::Transport::Delivery& msg) {
+  switch (msg.kind) {
+    case proto::PayloadKind::kContribution:
+    case proto::PayloadKind::kMiningRequest:
+    case proto::PayloadKind::kPartialRequest:
+    case proto::PayloadKind::kPoolSliceRequest:
+    case proto::PayloadKind::kShardSnapshotRequest:
+    case proto::PayloadKind::kStatsRequest: {
+      proto::PayloadKind out_kind{};
+      std::vector<double> out_wire;
+      serve_error(proto::ServeErrorCode::kBadRequest,
+                  to_string(msg.kind) + " on the hub: the exchange door does not serve",
+                  out_kind, out_wire);
+      hub_->send(miner_id_, msg.from, out_kind, out_wire);
+      return;
+    }
+    default:
+      SAP_FAIL("unexpected " + to_string(msg.kind) + " on the hub");
+  }
 }
 
 void MinerDaemon::resync_owned_shards() {
@@ -799,8 +774,9 @@ std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
       // state on the wire is unknown but the request is idempotent, so a
       // fresh connection + resend is safe. Budget- AND deadline-bounded.
       if (attempt >= opts_.retry_attempts) throw;
-      const int base =
-          std::min(opts_.retry_backoff_ms << attempt, opts_.retry_backoff_cap_ms);
+      // The shift is capped so a large attempt budget cannot overflow it.
+      const int base = std::min(opts_.retry_backoff_ms << std::min(attempt, 16),
+                                opts_.retry_backoff_cap_ms);
       const int jitter =
           base > 0 ? static_cast<int>(retry_eng_.uniform_index(
                          static_cast<std::uint64_t>(base))) : 0;
@@ -1008,39 +984,12 @@ proto::PartyReport PartyClient::run_exchange() {
   return report;
 }
 
-proto::SapSession::ContributionReceipt PartyClient::contribute(const data::Dataset& batch) {
-  SAP_REQUIRE(exchange_done_, "PartyClient::contribute: run the exchange first");
-  SAP_REQUIRE(batch.size() >= 1, "PartyClient::contribute: empty batch");
-  SAP_REQUIRE(batch.dims() == dims_, "PartyClient::contribute: dimension mismatch");
+std::vector<double> PartyClient::contribution_wire(const data::Dataset& batch) {
+  SAP_REQUIRE(exchange_done_, "PartyClient::contribution_wire: run the exchange first");
+  SAP_REQUIRE(batch.size() >= 1, "PartyClient::contribution_wire: empty batch");
+  SAP_REQUIRE(batch.dims() == dims_, "PartyClient::contribution_wire: dimension mismatch");
   const linalg::Matrix y = local_.g.apply(batch.features_T(), eng_);
-  transport_->send(id_, miner_, proto::PayloadKind::kContribution,
-                   proto::encode_contribution(local_.nonce, y, batch.labels()));
-  const auto ack = expect({proto::PayloadKind::kContributionAck,
-                           proto::PayloadKind::kServeError});
-  if (ack.kind == proto::PayloadKind::kServeError) {
-    const auto err = proto::decode_serve_error(ack.payload);
-    throw ServeError(err.code, err.message);
-  }
-  const auto receipt = proto::decode_receipt(ack.payload);
-  // Epoch 0 is the negative receipt (an accepted append is always >= 2:
-  // set_pool is epoch 1). Fail with the real diagnosis, not a timeout.
-  SAP_REQUIRE(receipt.pool_epoch != 0,
-              "PartyClient::contribute: the miner rejected this contribution");
-  return {receipt.pool_epoch, receipt.pool_records};
-}
-
-proto::WireMiningResponse PartyClient::mine_named(const std::string& job,
-                                                  const proto::JobParams& params) {
-  SAP_REQUIRE(exchange_done_, "PartyClient::mine_named: run the exchange first");
-  transport_->send(id_, miner_, proto::PayloadKind::kMiningRequest,
-                   proto::encode_mining_request(job, params));
-  const auto msg = expect({proto::PayloadKind::kMiningResponse,
-                           proto::PayloadKind::kServeError});
-  if (msg.kind == proto::PayloadKind::kServeError) {
-    const auto err = proto::decode_serve_error(msg.payload);
-    throw ServeError(err.code, err.message);
-  }
-  return proto::decode_mining_response(msg.payload);
+  return proto::encode_contribution(local_.nonce, y, batch.labels());
 }
 
 void PartyClient::finish() {

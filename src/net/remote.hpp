@@ -16,24 +16,21 @@
 // exchange the paper assumes — see DESIGN.md §7 for the threat model of
 // this choice over real sockets.
 //
-// After the exchange the daemon keeps serving:
+// After the exchange the daemon serves through ONE door, the epoll reactor
+// (net/reactor.hpp) on its own listen address (reactor_addr()):
 //   * kContribution  -> adapted + appended to the live pool, answered with
-//                       a kContributionAck receipt;
+//                       a kContributionAck receipt (epoch 0 = rejected);
 //   * kMiningRequest -> served by the MiningEngine (cached/incremental
 //                       exactly like in-process), answered with
-//                       kMiningResponse (empty values = request refused).
-// The daemon exits when every party connection has closed.
-//
-// Serving traffic has two front doors sharing ONE dispatch path
-// (serve_payload), so their responses are bit-identical by construction:
-//   * the hub itself (the k exchange connections double as serving links —
-//     unchanged legacy behavior), and
-//   * an optional epoll reactor (net/reactor.hpp, reactor_loops > 0) for
-//     the open client population beyond the k parties — tens of thousands
-//     of concurrent contribution/mining connections. The reactor endpoint
-//     is a second listen address (reactor_addr()) speaking the same wire
-//     protocol; it refuses traffic until the exchange installed the pool,
-//     and it never participates in the exchange itself (DESIGN.md §10).
+//                       kMiningResponse, or with a typed kServeError when
+//                       refused;
+//   * the cluster legs (partials, pool slices, shard snapshots) and the
+//     stats door, through the same dispatch (serve_payload).
+// The reactor binds at construction, so its address can be advertised next
+// to the hub's, and refuses requests until the exchange installed the pool.
+// The hub carries the exchange only: a serving request sent there is
+// answered with kServeError{kBadRequest}. The daemon exits when every
+// exchange connection has closed (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
@@ -97,9 +94,9 @@ struct MinerDaemonOptions {
   TcpOptions tcp{};
   /// Optional progress sink (the CLI prints these lines).
   std::function<void(const std::string&)> log;
-  /// Reactor front door: 0 disables it (hub-only legacy serving); N > 0
-  /// binds reactor_listen with N sharded event loops (see reactor_addr()).
-  std::size_t reactor_loops = 0;
+  /// The serving door: reactor_listen bound with this many sharded event
+  /// loops (see reactor_addr()). Must be >= 1; the constructor throws on 0.
+  std::size_t reactor_loops = 2;
   std::size_t reactor_compute_threads = 2;
   SocketAddr reactor_listen{"127.0.0.1", 0};
   int reactor_idle_timeout_ms = 60'000;
@@ -133,15 +130,15 @@ class MinerDaemon {
   /// know where to connect.
   [[nodiscard]] SocketAddr local_addr() const { return hub_->local_addr(); }
 
-  /// The reactor front door address (only with reactor_loops > 0).
-  [[nodiscard]] SocketAddr reactor_addr() const;
+  /// The serving door's address — print this so clients know where to
+  /// contribute and mine.
+  [[nodiscard]] SocketAddr reactor_addr() const { return reactor_->local_addr(); }
 
-  /// The live reactor (nullptr when reactor_loops == 0) — stats for the
-  /// CLI summary and the connection-scaling bench.
-  [[nodiscard]] const Reactor* reactor() const noexcept { return reactor_.get(); }
+  /// The live reactor — stats for the CLI summary and the benches.
+  [[nodiscard]] const Reactor& reactor() const noexcept { return *reactor_; }
 
-  /// True once run() has installed the pool and both front doors answer
-  /// serving traffic. Before this, front-door requests are refused with a
+  /// True once run() has installed the pool and the reactor answers
+  /// serving traffic. Before this, requests are refused with a
   /// kError frame ("not serving yet") — a TRANSIENT refusal by the DESIGN.md
   /// §13 taxonomy, so retrying clients absorb it like any transport fault.
   /// Callers without a retry budget (tests, probes) poll here instead.
@@ -153,21 +150,20 @@ class MinerDaemon {
     std::size_t pool_records = 0;
     std::uint64_t pool_epoch = 0;
     std::uint64_t pool_digest = 0;
-    std::size_t contributions = 0;     ///< both front doors combined
-    std::size_t requests_served = 0;   ///< both front doors combined
+    std::size_t contributions = 0;     ///< accepted at the reactor door
+    std::size_t requests_served = 0;   ///< answered at the reactor door
   };
 
-  /// Serve one full session: collect the exchange, install the pool, serve
-  /// contributions + mining requests, return when every party disconnected.
-  /// Throws sap::Error if the exchange cannot complete (missing party,
-  /// malformed shard, deadline). The reactor (if any) serves concurrently
-  /// from pool installation until return.
+  /// Serve one full session: collect the exchange, install the pool, then
+  /// wait until every exchange connection has closed while the reactor
+  /// serves. Throws sap::Error if the exchange cannot complete (missing
+  /// party, malformed shard, deadline).
   Summary run();
 
   /// The serving engine (valid pool only after run() installed it).
   [[nodiscard]] proto::MiningEngine& engine() noexcept { return engine_; }
 
-  /// Live metrics registry — both front doors record into it; the reactor
+  /// Live metrics registry — the serving door records into it; the reactor
   /// shares it via ReactorOptions::metrics (DESIGN.md §12).
   [[nodiscard]] obs::Registry& metrics() noexcept { return obs_; }
 
@@ -184,8 +180,7 @@ class MinerDaemon {
  private:
   void note(const std::string& line) const;
 
-  /// The ONE serving dispatch both front doors call — the reason hub-served
-  /// and reactor-served responses are bit-identical. Returns false for
+  /// The serving dispatch behind serve_frame. Returns false for
   /// non-serving kinds (late exchange traffic, reports). Contribution
   /// failures answer inside (negative receipt); a malformed mining request
   /// throws for the caller's per-message containment. Thread-safe: the
@@ -196,6 +191,10 @@ class MinerDaemon {
   /// Fill (out_kind, out_wire) with a typed kServeError refusal + log it.
   void serve_error(proto::ServeErrorCode code, const std::string& message,
                    proto::PayloadKind& out_kind, std::vector<double>& out_wire) const;
+
+  /// Answer a serving request that arrived on the hub with
+  /// kServeError{kBadRequest}: the exchange door does not serve.
+  void refuse_on_hub(const proto::Transport::Delivery& msg);
 
   /// Rejoin resync (DESIGN.md §13): pull every owned shard's snapshot from
   /// the first live peer in opts_.resync_peers that owns it and is ahead of
@@ -243,9 +242,8 @@ class MinerDaemon {
 
 /// Minimal synchronous client for the SERVING traffic only (contributions +
 /// mining requests) — no exchange duties, no io thread, one socket and an
-/// incremental FrameReader. Works identically against both front doors
-/// (legacy hub or reactor) because they speak the same wire protocol; the
-/// bench drives both with it and compares served values bit-for-bit.
+/// incremental FrameReader. Works against a miner's reactor door and a
+/// router's door alike: both speak the same wire protocol.
 class ServeClient {
  public:
   struct Options {
@@ -385,16 +383,10 @@ class PartyClient {
   proto::PartyReport run_exchange();
 
   /// Post-exchange streaming: perturb `batch` (records in this party's
-  /// original space) with the negotiated G_i and ship it to the miner.
-  /// Blocks for the receipt; throws sap::Error when the miner rejects or
-  /// the deadline expires.
-  proto::SapSession::ContributionReceipt contribute(const data::Dataset& batch);
-
-  /// Serve a named job remotely on the miner's pool. A daemon-side refusal
-  /// (unknown job / bad params / unavailable shard) raises ServeError with
-  /// the typed code.
-  proto::WireMiningResponse mine_named(const std::string& job,
-                                       const proto::JobParams& params = {});
+  /// original space) with the negotiated G_i, drawing its noise from this
+  /// party's engine, and encode it as a kContribution payload for
+  /// ServeClient::contribute_wire at the serving door.
+  std::vector<double> contribution_wire(const data::Dataset& batch);
 
   /// Polite goodbye (the daemon exits once every party said it). Safe to
   /// call multiple times; the destructor also sends it.

@@ -245,8 +245,8 @@ DecodedPoolSliceRequest decode_pool_slice_request(std::span<const double> wire);
 
 // ---- observability payloads (PR 9) --------------------------------------
 // The live stats door (DESIGN.md §12). A stats snapshot rides the same
-// encrypted envelope as every serving payload; both daemon front doors
-// answer it through the one serve_payload dispatch.
+// encrypted envelope as every serving payload; the daemon's reactor door
+// answers it through the same serve_payload dispatch.
 
 /// Stats request: [version]. Version 1 is the only one defined; decoders
 /// reject anything else so a future layout change is a clean break.

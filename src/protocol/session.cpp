@@ -135,7 +135,10 @@ void SapSession::run_until(SessionPhase target) {
   while (static_cast<int>(phase_) < static_cast<int>(target)) advance();
 }
 
-SapResult SapSession::run(const MinerJob& job) { return mine(job); }
+SapResult SapSession::run() {
+  run_until(SessionPhase::kMine);
+  return snapshot_result();
+}
 
 // ---------------- phase 1: local perturbation optimization ---------------
 
@@ -357,32 +360,16 @@ void SapSession::run_unify_and_account() {
 
 // ---------------- mining (served by the engine) ---------------------------
 
-SapResult SapSession::finish_mine(const std::vector<double>& report, bool broadcast) {
+SapResult SapSession::snapshot_result() const {
   SapResult result;
   result.unified = engine_.pool();
   result.target_space = g_t_;
   result.parties = reports_;
   result.audit_receiver_of = audit_receiver_of_;
   result.audit_forwarder_of = audit_forwarder_of_;
-
-  if (broadcast) {
-    for (const PartyId id : provider_id_)
-      transport_->send(miner_, id, PayloadKind::kModelReport, report);
-    // Providers drain their report (best effort: a dropped report degrades
-    // service but must not corrupt the protocol result).
-    for (const PartyId id : provider_id_)
-      while (transport_->has_mail(id)) (void)transport_->receive(id);
-  }
-
   result.messages = transport_->trace().size();
   result.total_bytes = transport_->total_bytes();
   return result;
-}
-
-SapResult SapSession::mine(const MinerJob& job) {
-  run_until(SessionPhase::kMine);
-  if (!job) return finish_mine({}, /*broadcast=*/false);
-  return finish_mine(engine_.run_adhoc(job), /*broadcast=*/true);
 }
 
 SapResult SapSession::mine_named(const std::string& job_name, const JobParams& params) {
@@ -390,14 +377,14 @@ SapResult SapSession::mine_named(const std::string& job_name, const JobParams& p
   // any outstanding exchange phases.
   (void)engine_.registry().find(job_name).resolve_params(params);
   run_until(SessionPhase::kMine);
-  const auto response = engine_.run({job_name, params});
-  return finish_mine(response.values, /*broadcast=*/true);
-}
-
-void SapSession::register_job(std::string name, MinerJob job) {
-  SAP_REQUIRE(!name.empty(), "SapSession::register_job: empty job name");
-  SAP_REQUIRE(job != nullptr, "SapSession::register_job: null job");
-  engine_.registry().register_job(std::move(name), std::move(job));
+  const auto report = engine_.run({job_name, params}).values;
+  for (const PartyId id : provider_id_)
+    transport_->send(miner_, id, PayloadKind::kModelReport, report);
+  // Providers drain their report (best effort: a dropped report degrades
+  // service but must not corrupt the protocol result).
+  for (const PartyId id : provider_id_)
+    while (transport_->has_mail(id)) (void)transport_->receive(id);
+  return snapshot_result();
 }
 
 std::vector<std::string> SapSession::job_names() const { return engine_.registry().names(); }

@@ -34,10 +34,10 @@
 // the session's MiningEngine (mining_engine.hpp) serves any number of
 // parameterized mining requests against the pooled unified space without
 // redoing the exchange — concurrently, with fitted models cached per (job,
-// params) and extended incrementally across pool epochs. mine()/mine_named()
-// are thin single-request wrappers that additionally broadcast the job's
-// model report to every provider; engine() exposes the batched serving
-// surface directly (no broadcasts).
+// params) and extended incrementally across pool epochs. mine_named() is a
+// thin single-request wrapper that additionally broadcasts the job's model
+// report to every provider; engine() exposes the batched serving surface
+// directly (no broadcasts).
 //
 // Contribute (the streaming extension, DESIGN.md §6): after the exchange,
 // any provider can keep submitting perturbed record batches — contribute()
@@ -177,7 +177,7 @@ class SapSession {
   [[nodiscard]] SessionPhase phase() const noexcept { return phase_; }
 
   /// True once a phase has thrown: partially-executed exchange state cannot
-  /// be resumed, so every later advance()/mine() refuses to run. Construct
+  /// be resumed, so every later advance()/run() refuses to run. Construct
   /// a fresh session to retry.
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
@@ -188,23 +188,18 @@ class SapSession {
   /// advance() until phase() == target.
   void run_until(SessionPhase target);
 
-  /// Convenience single-shot: run every phase, then mine(job).
-  SapResult run(const MinerJob& job = {});
+  /// Single-shot: complete every outstanding phase and return the pooled
+  /// result (no job runs, nothing is broadcast). Callable any number of
+  /// times without redoing the exchange.
+  SapResult run();
 
   // ---- mining (served by the engine over the pooled unified space) ------
 
-  /// Run `job` (may be empty) at the miner on the unified pool; broadcasts
-  /// the model report to every provider. Implicitly completes outstanding
-  /// phases. Callable any number of times without redoing the exchange.
-  SapResult mine(const MinerJob& job = {});
-
   /// Serve one request from the engine's job registry (seeded with the
   /// built-in jobs; see jobs.hpp), optionally parameterized, and broadcast
-  /// its report. Throws sap::Error for unknown names or invalid params.
+  /// its report. Implicitly completes outstanding phases. Throws sap::Error
+  /// for unknown names or invalid params.
   SapResult mine_named(const std::string& job_name, const JobParams& params = {});
-
-  /// Add (or replace) a named closure job in the engine's registry.
-  void register_job(std::string name, MinerJob job);
 
   /// Names in the engine's registry, sorted.
   [[nodiscard]] std::vector<std::string> job_names() const;
@@ -297,9 +292,9 @@ class SapSession {
   void run_adaptor_alignment();
   void run_unify_and_account();
 
-  /// Shared mine()/mine_named() tail: assemble the SapResult, broadcast
-  /// `report` (unless empty) as kModelReport, snapshot transport costs.
-  SapResult finish_mine(const std::vector<double>& report, bool broadcast);
+  /// Assemble the SapResult from the pool, the reports and the transport
+  /// costs so far.
+  SapResult snapshot_result() const;
 
   std::size_t dims_ = 0;
   SapOptions opts_;

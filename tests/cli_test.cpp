@@ -3,13 +3,16 @@
 //   * `jobs --json` emits a machine-readable job/param schema — parsed here
 //     with a real (small) JSON parser, not string matching;
 //   * the cross-process topology: one `serve --listen` miner daemon process
-//     and k `party --connect` processes over loopback TCP, all spawned as
+//     and k `party --connect --serve` processes over loopback TCP (exchange
+//     on the hub, contributions and jobs at the reactor door), spawned as
 //     genuine OS processes, with the daemon's pooled result asserted
 //     bit-identical (digest + multiset digest) to the same logical session
 //     run in-process through SapSession/kSimulated.
 //
 // SAP_CLI_PATH is injected by CMake as the built binary's absolute path.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -279,7 +282,8 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
     ref_multiset = sap::net::dataset_multiset_digest(*ref_view.data);
   } while (std::next_permutation(order.begin(), order.end()));
 
-  // Daemon process on an ephemeral port; parse the bound port from stdout.
+  // Daemon process on ephemeral ports; parse the hub's and the reactor
+  // door's bound ports from stdout (the reactor line follows the hub's).
   const std::string cli = SAP_CLI_PATH;
   FILE* daemon = popen((cli + " serve --listen 127.0.0.1:0 --parties 3 --seed 7"
                               " --deadline-ms 60000 2>&1")
@@ -288,12 +292,17 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
   ASSERT_NE(daemon, nullptr);
   std::string daemon_output;
   char line[4096];
-  int port = 0;
+  int port = 0, door_port = 0, loops = 0;
   while (std::fgets(line, sizeof line, daemon)) {
     daemon_output += line;
-    if (std::sscanf(line, "listening on 127.0.0.1:%d", &port) == 1) break;
+    (void)std::sscanf(line, "listening on 127.0.0.1:%d", &port);
+    if (std::sscanf(line, "reactor listening on 127.0.0.1:%d (%d loops)", &door_port,
+                    &loops) == 2)
+      break;
   }
   ASSERT_GT(port, 0) << daemon_output;
+  ASSERT_GT(door_port, 0) << daemon_output;
+  EXPECT_EQ(loops, 2) << daemon_output;  // the --reactor-loops default
 
   // k genuine party processes.
   std::vector<std::thread> threads;
@@ -302,7 +311,8 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
   for (std::size_t i = 0; i < kParties; ++i) {
     threads.emplace_back([&, i] {
       const std::string cmd = cli + " party Iris 3 0.1 7 --connect 127.0.0.1:" +
-                              std::to_string(port) + " --index " + std::to_string(i) +
+                              std::to_string(port) + " --serve 127.0.0.1:" +
+                              std::to_string(door_port) + " --index " + std::to_string(i) +
                               " --batches 2 --batch-records 10 --job nb-train-accuracy" +
                               " --deadline-ms 60000";
       party_status[i] = run_command(cmd, party_output[i]);
@@ -352,6 +362,29 @@ TEST(CliCrossProcess, DaemonAndPartiesMatchInProcessSession) {
         << "party " << i << " at epoch " << job_epoch << " served " << value
         << ", not an in-process report at that epoch";
   }
+}
+
+TEST(CliCrossProcess, ServingFlagsAreValidatedBeforeAnyNetworkWork) {
+  const std::string cli = SAP_CLI_PATH;
+  const auto exit_code = [&](const std::string& args, std::string& output) {
+    const int status = run_command(cli + " " + args, output);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  std::string output;
+  // Streaming batches (the default --batches 4) or running a job needs the
+  // reactor door's address.
+  EXPECT_EQ(exit_code("party Iris 3 0.1 7 --connect 127.0.0.1:1 --index 0", output), 2)
+      << output;
+  EXPECT_NE(output.find("--serve"), std::string::npos) << output;
+  EXPECT_EQ(exit_code("party Iris 3 0.1 7 --connect 127.0.0.1:1 --index 0 --batches 0 "
+                      "--job record-count",
+                      output),
+            2)
+      << output;
+  // The reactor is the one serving door: zero loops is not a configuration.
+  EXPECT_EQ(exit_code("serve --listen 127.0.0.1:0 --parties 3 --reactor-loops 0", output), 2)
+      << output;
+  EXPECT_NE(output.find("[1, 64]"), std::string::npos) << output;
 }
 
 }  // namespace

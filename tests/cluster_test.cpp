@@ -428,7 +428,7 @@ TEST(ShardRouter, NegativeReceiptIsADefinitiveBadRequest) {
   ropts.parties = cluster.k;
   net::ShardRouter router(ropts);
   const auto want = router.mine_named("record-count");  // connects to the primary
-  const auto accepted = a.daemon->reactor()->stats().accepted;
+  const auto accepted = a.daemon->reactor().stats().accepted;
 
   // A nonce no party negotiated: every owner answers a negative receipt.
   const Dataset batch = cluster.pool.slice(100, 110);
@@ -445,7 +445,7 @@ TEST(ShardRouter, NegativeReceiptIsADefinitiveBadRequest) {
   EXPECT_EQ(router.breaker(1), net::ShardRouter::BreakerState::kClosed);
   // The connection survived: the next read reuses it, no new accept.
   EXPECT_EQ(router.mine_named("record-count").values, want.values);
-  EXPECT_EQ(a.daemon->reactor()->stats().accepted, accepted);
+  EXPECT_EQ(a.daemon->reactor().stats().accepted, accepted);
 
   a.stop();
   b.stop();

@@ -96,7 +96,7 @@ TEST_P(Contribute, NoiselessContributionLandsExactlyInTheTargetSpace) {
   auto opts = fast_opts(302, GetParam());
   opts.noise_sigma = 0.0;
   proto::SapSession session(std::move(setup.shards), opts);
-  const auto result = session.mine();
+  const auto result = session.run();
 
   const Dataset batch = setup.stream.slice(0, 10);
   (void)session.contribute(1, batch);
@@ -238,7 +238,7 @@ TEST(ContributeReplay, MineReflectsContributionsInItsResult) {
   auto setup = stream_setup(4, 309);
   proto::SapSession session(std::move(setup.shards),
                             fast_opts(309, proto::TransportKind::kSimulated));
-  const auto before = session.mine();
+  const auto before = session.run();
   EXPECT_EQ(before.unified.size(), 100u);
   (void)session.contribute(2, setup.stream.slice(0, 30));
   const auto after = session.mine_named("record-count");

@@ -9,15 +9,16 @@
 //   * churn: a thousand short-lived connections accepted, served, and
 //     reclaimed (run under TSAN in CI — the cross-thread surface is small
 //     and this leans on it);
-//   * daemon integration: MinerDaemon's reactor endpoint serves mining
-//     requests and contributions BIT-IDENTICAL to the legacy hub path and
-//     to direct in-process MiningEngine calls;
+//   * daemon integration: MinerDaemon's reactor door serves mining
+//     requests and contributions BIT-IDENTICAL to direct in-process
+//     MiningEngine calls, and the hub refuses serving traffic;
 //   * FrameReader hygiene: buffer capacity stays flat across 10k frames.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -29,7 +30,6 @@
 #include "net/reactor.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
-#include "protocol/party_logic.hpp"
 
 namespace {
 
@@ -405,74 +405,99 @@ TEST(Reactor, ThousandConnectionChurnIsServedAndReclaimed) {
       << "closed connections were not reclaimed";
 }
 
-// ---- daemon integration: both front doors bit-identical ------------------
+// ---- daemon integration: one serving door --------------------------------
+
+/// A MinerDaemon over normalized Iris with k in-thread parties. Party 0
+/// encodes one contribution of a held-back batch right after its exchange
+/// (drawing exactly what a streaming party draws), then holds the daemon
+/// open until finish().
+struct DaemonRig {
+  static constexpr std::size_t kParties = 3;
+  std::uint64_t seed = 0;
+  std::vector<Dataset> shards;
+  Dataset batch;
+  std::vector<double> wire;  ///< party 0's kContribution payload of `batch`
+  std::unique_ptr<net::MinerDaemon> daemon;
+  std::future<net::MinerDaemon::Summary> done;
+  std::vector<std::thread> parties;
+  std::promise<void> release;
+  bool released = false;
+
+  explicit DaemonRig(std::uint64_t seed_in) : seed(seed_in) {
+    const Dataset raw = sap::data::make_uci("Iris", seed);
+    sap::data::MinMaxNormalizer norm;
+    norm.fit(raw.features());
+    const Dataset pool(raw.name(), norm.transform(raw.features()), raw.labels());
+    Engine shard_eng(seed ^ 0xBEEF);
+    shards = sap::data::partition(pool.slice(0, 100), kParties, {}, shard_eng);
+    batch = pool.slice(100, 120);
+
+    auto sap_opts = proto::SapOptions::fast();
+    sap_opts.seed = seed;
+    sap_opts.compute_satisfaction = false;
+    net::MinerDaemonOptions daemon_opts;
+    daemon_opts.parties = kParties;
+    daemon_opts.seed = seed;
+    daemon_opts.reactor_compute_threads = 2;
+    daemon = std::make_unique<net::MinerDaemon>(daemon_opts);
+    done = std::async(std::launch::async, [this] { return daemon->run(); });
+
+    std::promise<std::vector<double>> wire_ready;
+    std::shared_future<void> released_future(release.get_future());
+    for (std::size_t i = 0; i < kParties; ++i) {
+      parties.emplace_back([this, i, sap_opts, released_future, &wire_ready] {
+        net::PartyClientOptions party_opts;
+        party_opts.connect = daemon->local_addr();
+        party_opts.index = i;
+        party_opts.parties = kParties;
+        party_opts.sap = sap_opts;
+        net::PartyClient party(shards[i], party_opts);
+        (void)party.run_exchange();
+        if (i == 0) {
+          wire_ready.set_value(party.contribution_wire(batch));
+          released_future.wait();
+        }
+        party.finish();
+      });
+    }
+    wire = wire_ready.get_future().get();
+  }
+
+  /// Party 0's exchange side finishes before the daemon has pooled every
+  /// shard; the door refuses requests until the install, so wait for it.
+  [[nodiscard]] bool wait_serving() const {
+    for (int i = 0; i < 30'000 && !daemon->serving(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return daemon->serving();
+  }
+
+  net::MinerDaemon::Summary finish() {
+    release.set_value();
+    released = true;
+    for (auto& t : parties) t.join();
+    parties.clear();
+    return done.get();
+  }
+
+  /// Unwind safety: a failing test body must not destroy joinable threads.
+  ~DaemonRig() {
+    if (!released) release.set_value();
+    for (auto& t : parties) t.join();
+  }
+};
 
 TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
-  const std::size_t k = 3;
-  const std::uint64_t seed = 4242;
+  DaemonRig rig(4242);
+  ASSERT_TRUE(rig.wait_serving());
+  net::MinerDaemon& daemon = *rig.daemon;
 
-  // Normalized Iris, sharded for the exchange + one held-back batch.
-  const Dataset raw = sap::data::make_uci("Iris", seed);
-  sap::data::MinMaxNormalizer norm;
-  norm.fit(raw.features());
-  const Dataset pool(raw.name(), norm.transform(raw.features()), raw.labels());
-  Engine shard_eng(seed ^ 0xBEEF);
-  sap::data::PartitionOptions popts;
-  const auto shards = sap::data::partition(pool.slice(0, 100), k, popts, shard_eng);
-  const Dataset batch = pool.slice(100, 120);
-
-  auto sap_opts = proto::SapOptions::fast();
-  sap_opts.seed = seed;
-  sap_opts.compute_satisfaction = false;
-
-  net::MinerDaemonOptions daemon_opts;
-  daemon_opts.listen = {"127.0.0.1", 0};
-  daemon_opts.parties = k;
-  daemon_opts.seed = seed;
-  daemon_opts.reactor_loops = 2;
-  daemon_opts.reactor_compute_threads = 2;
-  net::MinerDaemon daemon(daemon_opts);
-  const auto hub_addr = daemon.local_addr();
-  const auto door_addr = daemon.reactor_addr();
-  auto daemon_future = std::async(std::launch::async, [&] { return daemon.run(); });
-
-  // k parties exchange; party 0 stays connected, mines via the HUB at both
-  // epochs, and holds the daemon open while the main thread works the
-  // reactor door.
-  std::promise<void> hub_ready;
-  std::promise<void> release;
-  std::shared_future<void> released(release.get_future());
-  proto::WireMiningResponse hub_epoch1, hub_epoch2;
-  std::vector<std::thread> parties;
-  for (std::size_t i = 0; i < k; ++i) {
-    parties.emplace_back([&, i] {
-      net::PartyClientOptions party_opts;
-      party_opts.connect = hub_addr;
-      party_opts.index = i;
-      party_opts.parties = k;
-      party_opts.sap = sap_opts;
-      net::PartyClient party(shards[i], party_opts);
-      (void)party.run_exchange();
-      if (i == 0) {
-        hub_epoch1 = party.mine_named("nb-train-accuracy");
-        hub_ready.set_value();
-        released.wait();
-        hub_epoch2 = party.mine_named("nb-train-accuracy");
-      }
-      party.finish();
-    });
-  }
-  hub_ready.get_future().wait();
-
-  // Epoch 1 (the freshly unified pool): reactor door == hub == engine.
+  // Epoch 1 (the freshly unified pool): reactor door == engine.
   const auto direct_epoch1 = daemon.engine().run({"nb-train-accuracy", {}});
-  net::ServeClient door(door_addr, seed, k);
+  net::ServeClient door(daemon.reactor_addr(), rig.seed, DaemonRig::kParties);
   EXPECT_GE(door.id(), net::ReactorOptions{}.first_client_id);
   const auto door_epoch1 = door.mine_named("nb-train-accuracy");
   EXPECT_EQ(door_epoch1.pool_epoch, 1u);
-  EXPECT_EQ(door_epoch1.values, hub_epoch1.values);
   EXPECT_EQ(door_epoch1.values, direct_epoch1.values);
-  EXPECT_EQ(hub_epoch1.pool_epoch, 1u);
 
   // An unknown job is a TYPED refusal — kServeError{kBadRequest}, raised
   // client-side as net::ServeError — not a disconnect, and not the old
@@ -487,41 +512,81 @@ TEST(ReactorDaemon, FrontDoorsServeBitIdenticalValues) {
     EXPECT_NE(std::string(e.what()).find("no-such-job"), std::string::npos);
   }
 
-  // Contribute THROUGH THE REACTOR: replicate party 0's side of the math
-  // (same derived engine, same LocalOptimize, perturb with its G_0) so the
-  // wire is valid for the adaptor the exchange installed.
-  const auto seeds = proto::logic::derive_session_seeds(seed, k);
-  Engine party_eng = seeds.provider_eng[0];
-  const auto x0 = shards[0].features_T();
-  const auto local =
-      proto::logic::optimize_local(x0, shards[0].dims(), sap_opts, party_eng);
-  const auto y = local.g.apply(batch.features_T(), party_eng);
-  const auto receipt =
-      door.contribute_wire(proto::encode_contribution(local.nonce, y, batch.labels()));
+  // Contribute party 0's batch THROUGH THE DOOR, encoded by the party
+  // itself (PartyClient::contribution_wire) for the adaptor the exchange
+  // installed.
+  const auto receipt = door.contribute_wire(rig.wire);
   EXPECT_EQ(receipt.pool_epoch, 2u);
-  EXPECT_EQ(receipt.pool_records, 100u + batch.size());
+  EXPECT_EQ(receipt.pool_records, 100u + rig.batch.size());
 
-  // Epoch 2 (after the reactor-door contribution): all three again.
+  // Epoch 2 (after the door contribution): door == engine again.
   const auto direct_epoch2 = daemon.engine().run({"nb-train-accuracy", {}});
   const auto door_epoch2 = door.mine_named("nb-train-accuracy");
   EXPECT_EQ(door_epoch2.pool_epoch, 2u);
   EXPECT_EQ(door_epoch2.values, direct_epoch2.values);
   door.bye();
 
-  release.set_value();
-  for (auto& t : parties) t.join();
-  EXPECT_EQ(hub_epoch2.pool_epoch, 2u);
-  EXPECT_EQ(hub_epoch2.values, door_epoch2.values);
-
-  const auto summary = daemon_future.get();
+  const auto summary = rig.finish();
   EXPECT_EQ(summary.pool_epoch, 2u);
-  EXPECT_EQ(summary.pool_records, 100u + batch.size());
-  EXPECT_EQ(summary.contributions, 1u);        // the reactor-door one
-  EXPECT_EQ(summary.requests_served, 5u);      // 2 hub + 3 door (one refused)
-  ASSERT_NE(daemon.reactor(), nullptr);
-  const auto stats = daemon.reactor()->stats();
+  EXPECT_EQ(summary.pool_records, 100u + rig.batch.size());
+  EXPECT_EQ(summary.contributions, 1u);
+  EXPECT_EQ(summary.requests_served, 3u);  // mine, refused mine, mine
+  const auto stats = daemon.reactor().stats();
   EXPECT_EQ(stats.requests, 4u);  // mine, refused mine, contribute, mine
   EXPECT_EQ(stats.live, 0u);      // stop() closed everything
+}
+
+TEST(ReactorDaemon, HubAnswersServingRequestsWithBadRequest) {
+  DaemonRig rig(4343);
+  ASSERT_TRUE(rig.wait_serving());
+  net::MinerDaemon& daemon = *rig.daemon;
+
+  // The hub carries the exchange only. Each serving kind sent there after
+  // the install gets an immediate typed kBadRequest, far inside the
+  // client's 10 s deadline, and nothing is served or appended.
+  net::ServeClient::Options copts;
+  copts.timeout_ms = 10'000;
+  net::ServeClient hub(daemon.local_addr(), rig.seed, DaemonRig::kParties, copts);
+  const auto expect_refused = [](const char* what, const auto& request) {
+    const auto t0 = Clock::now();
+    try {
+      request();
+      ADD_FAILURE() << what << " was served on the hub";
+    } catch (const net::ServeError& e) {
+      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest) << what;
+      EXPECT_NE(std::string(e.what()).find("the exchange door does not serve"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(2)) << what;
+  };
+  expect_refused("mining request", [&] { (void)hub.mine_named("record-count"); });
+  expect_refused("contribution", [&] { (void)hub.contribute_wire(rig.wire); });
+  expect_refused("stats request", [&] { (void)hub.stats(); });
+  hub.bye();
+  EXPECT_EQ(daemon.engine().pool_epoch(), 1u);
+
+  // The very same contribution is accepted at the serving door.
+  net::ServeClient door(daemon.reactor_addr(), rig.seed, DaemonRig::kParties);
+  EXPECT_EQ(door.contribute_wire(rig.wire).pool_epoch, 2u);
+  door.bye();
+
+  const auto summary = rig.finish();
+  EXPECT_EQ(summary.contributions, 1u);
+  EXPECT_EQ(summary.requests_served, 0u);
+  EXPECT_EQ(summary.pool_epoch, 2u);
+}
+
+TEST(ReactorDaemon, ZeroReactorLoopsIsRejectedAtConstruction) {
+  net::MinerDaemonOptions opts;
+  opts.parties = 3;
+  opts.reactor_loops = 0;
+  try {
+    net::MinerDaemon daemon(opts);
+    ADD_FAILURE() << "a daemon without a serving door was constructed";
+  } catch (const sap::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("reactor_loops"), std::string::npos) << e.what();
+  }
 }
 
 // ---- FrameReader buffer hygiene ------------------------------------------

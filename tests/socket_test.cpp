@@ -7,12 +7,14 @@
 //     over TransportKind::kTcp, asserted BIT-IDENTICAL to kSimulated;
 //   * distributed mode: MinerDaemon + k PartyClient drivers in separate
 //     threads with real sockets, pooled results bit-identical to
-//     kSimulated, wire mining requests equal to in-process serving.
+//     kSimulated; contributions and mining requests at the reactor door
+//     equal to in-process serving.
 // (tests/cli_test.cpp repeats the distributed topology with genuinely
 // separate OS processes through sap_cli.)
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <future>
 #include <thread>
 
@@ -67,6 +69,15 @@ net::TcpOptions test_tcp() {
   tcp.connect_timeout_ms = 10000;
   tcp.receive_timeout_ms = 30000;  // CI-safe; deadline tests shrink it
   return tcp;
+}
+
+/// A party finishes its side of the exchange before the daemon has pooled
+/// every shard; the reactor door refuses requests until the pool is
+/// installed, so clients without a retry budget wait for the flip here.
+void wait_serving(const net::MinerDaemon& daemon) {
+  for (int i = 0; i < 30'000 && !daemon.serving(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  SAP_REQUIRE(daemon.serving(), "test daemon never started serving");
 }
 
 // ---- frame codec ---------------------------------------------------------
@@ -283,8 +294,8 @@ struct DistributedRun {
 };
 
 /// Run k party clients (threads, real sockets) against a MinerDaemon.
-/// Party 0 additionally streams `batches` sequential contributions and
-/// issues one nb-train-accuracy request after each.
+/// Party 0 additionally streams `batches` sequential contributions through
+/// the reactor door and issues one nb-train-accuracy request after each.
 DistributedRun run_distributed(std::size_t k, std::uint64_t seed,
                                const std::vector<Dataset>& shards,
                                const std::vector<Dataset>& batches) {
@@ -314,10 +325,13 @@ DistributedRun run_distributed(std::size_t k, std::uint64_t seed,
       const auto report = party.run_exchange();
       std::vector<proto::WireMiningResponse> responses;
       if (i == 0) {
+        wait_serving(daemon);
+        net::ServeClient door(daemon.reactor_addr(), seed, k);
         for (const auto& batch : batches) {
-          (void)party.contribute(batch);
-          responses.push_back(party.mine_named("nb-train-accuracy"));
+          (void)door.contribute_wire(party.contribution_wire(batch));
+          responses.push_back(door.mine_named("nb-train-accuracy"));
         }
+        door.bye();
       }
       party.finish();
       std::lock_guard lock(mutex);
@@ -361,7 +375,7 @@ TEST(TcpDistributed, ExchangeAndContributeBitIdenticalToSimulated) {
     EXPECT_EQ(run.responses[b].values, ref_values[b]) << "batch " << b;
 
   // Party-side accounting matches the in-process run exactly.
-  const auto ref_result = reference.mine();
+  const auto ref_result = reference.run();
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(run.reports[i].local_rho, ref_result.parties[i].local_rho) << i;
     EXPECT_EQ(run.reports[i].bound, ref_result.parties[i].bound) << i;
@@ -414,32 +428,33 @@ TEST(TcpDistributed, DaemonSurvivesHostileClientsAndSendsNegativeReceipts) {
     rogue->send_bye();
   }
 
-  // Hostile client 2: correct secret, valid codec, but a nonce the miner
-  // never negotiated — must get the NEGATIVE receipt (epoch 0)
-  // immediately instead of silence.
+  // Hostile client 2, at the reactor door: correct secret, valid codec, but
+  // a nonce the miner never negotiated — must get the NEGATIVE receipt
+  // (epoch 0, raised as ServeError{kBadRequest}) immediately instead of
+  // silence.
+  wait_serving(daemon);
+  net::ServeClient door(daemon.reactor_addr(), seed, k);
   {
-    auto rogue = net::TcpTransport::connect(addr, seeds.session_secret, test_tcp());
-    const auto rogue_id = rogue->add_party();
     sap::rng::Engine eng(7);
     const sap::linalg::Matrix y =
         sap::linalg::Matrix::generate(setup.shards[0].dims(), 4, [&] { return eng.normal(); });
     const std::vector<int> labels{0, 1, 0, 1};
-    rogue->send(rogue_id, miner, proto::PayloadKind::kContribution,
-                proto::encode_contribution(0xDEADBEEF, y, labels));
-    const auto ack = rogue->receive(rogue_id);
-    EXPECT_EQ(ack.kind, proto::PayloadKind::kContributionAck);
-    const auto receipt = proto::decode_receipt(ack.payload);
-    EXPECT_EQ(receipt.pool_epoch, 0u);
-    EXPECT_EQ(receipt.pool_records, 0u);
-    rogue->send_bye();
+    try {
+      (void)door.contribute_wire(proto::encode_contribution(0xDEADBEEF, y, labels));
+      ADD_FAILURE() << "expected a negative receipt for an unknown nonce";
+    } catch (const net::ServeError& e) {
+      EXPECT_EQ(e.code(), proto::ServeErrorCode::kBadRequest);
+    }
   }
 
   // The daemon survived both: honest serving still works end to end.
-  const auto receipt = parties[0]->contribute(setup.stream.slice(0, 8));
+  const auto receipt =
+      door.contribute_wire(parties[0]->contribution_wire(setup.stream.slice(0, 8)));
   EXPECT_EQ(receipt.pool_epoch, 2u);
-  const auto response = parties[0]->mine_named("record-count");
+  const auto response = door.mine_named("record-count");
   ASSERT_EQ(response.values.size(), 1u);
   EXPECT_EQ(response.values[0], static_cast<double>(receipt.pool_records));
+  door.bye();
 
   for (auto& p : parties) p->finish();
   const auto summary = daemon_future.get();
@@ -485,8 +500,11 @@ TEST(TcpDistributed, ConcurrentContributorsGrowThePoolConsistently) {
       popts.tcp = test_tcp();
       net::PartyClient party(setup.shards[i], popts);
       (void)party.run_exchange();
-      const auto receipt = party.contribute(batches[i]);
+      wait_serving(daemon);
+      net::ServeClient door(daemon.reactor_addr(), seed, k);
+      const auto receipt = door.contribute_wire(party.contribution_wire(batches[i]));
       EXPECT_GE(receipt.pool_records, 100u + batches[i].size());
+      door.bye();
       party.finish();
     });
   }

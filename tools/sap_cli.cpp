@@ -66,14 +66,15 @@ const char* kUsage =
     "          [--optimize-threads K=0]\n"
     "  sap_cli serve --listen HOST:PORT --parties K [--seed S=1]\n"
     "          [--threads K=0] [--no-cache] [--deadline-ms N=30000]\n"
-    "          [--reactor-loops N=0] [--reactor-listen HOST:PORT]\n"
+    "          [--reactor-loops N=2] [--reactor-listen HOST:PORT]\n"
     "          [--shards N=1 --shard-index I] [--replicas R=1]\n"
     "          [--shard-layout mod|range] [--resync HOST:PORT,...]\n"
     "          [--fault SPEC]\n"
     "          (miner daemon: port 0 = ephemeral, the bound port is printed;\n"
-    "           --reactor-loops > 0 opens the epoll serving front door on\n"
-    "           --reactor-listen with N sharded event loops — C10k serving\n"
-    "           for clients beyond the K exchange parties, DESIGN.md \xc2\xa7""10;\n"
+    "           the hub on --listen carries the K-party exchange only; the\n"
+    "           epoll serving door on --reactor-listen, with N in [1, 64]\n"
+    "           sharded event loops, takes every contribution and mining\n"
+    "           request, DESIGN.md \xc2\xa7""10;\n"
     "           --shards N > 1 makes this daemon cluster member I of N: it\n"
     "           installs/serves only the nonce-hash shards it owns — shard I\n"
     "           as primary plus the R-1 preceding shards as replicas,\n"
@@ -102,9 +103,11 @@ const char* kUsage =
     "           liveness summary instead of the full dump. An unreachable\n"
     "           endpoint exits 2 with a one-line diagnostic)\n"
     "  sap_cli party <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
-    "          --connect HOST:PORT --index I [--batches N=4]\n"
-    "          [--batch-records M=16] [--job name[:k=v,...]]\n"
+    "          --connect HOST:PORT --index I [--serve HOST:PORT]\n"
+    "          [--batches N=4] [--batch-records M=16] [--job name[:k=v,...]]\n"
     "          [--deadline-ms N=30000] [--optimize-threads K=0]\n"
+    "          (--serve is the daemon's reactor door; required when\n"
+    "           --batches > 0 or --job is given)\n"
     "  sap_cli contribute <dataset-name> [parties=5] [sigma=0.1] [seed=1]\n"
     "          [--batches N=4] [--batch-records M=16] [--job name[:k=v,...]]\n"
     "          [--transport sim|threaded] [--optimize-threads K=0]\n"
@@ -157,14 +160,15 @@ const char* kUsage =
     "cross-process mode (see README for the two-terminal walkthrough):\n"
     "  `serve --listen` runs the miner daemon: it binds HOST:PORT, waits for\n"
     "  --parties party processes, pools the exchange, then serves streamed\n"
-    "  contributions and mining requests until every party disconnects.\n"
+    "  contributions and mining requests at its reactor door (the second\n"
+    "  printed address) until every party disconnects.\n"
     "  `party` runs one provider: every party process must use the SAME\n"
     "  dataset/parties/sigma/seed arguments (they define the logical\n"
     "  session; the seed also stands in for the out-of-band key exchange)\n"
     "  and a DISTINCT --index 0..K-1 (K-1 doubles as the coordinator).\n"
     "  Each party streams the held-back batches b with b mod K == --index\n"
-    "  and re-serves --job (repeatable) over the wire after its last\n"
-    "  batch. The exchange pool is bit-identical to `--transport sim`;\n"
+    "  to the --serve door and re-serves --job (repeatable) there after its\n"
+    "  last batch. The exchange pool is bit-identical to `--transport sim`;\n"
     "  concurrently streamed batches land in scheduling-dependent order, so\n"
     "  compare the daemon's `multiset` digest (order-insensitive) — with a\n"
     "  single contributing party the ordered digest matches too.\n";
@@ -528,7 +532,7 @@ int cmd_serve_daemon(int argc, char** argv) {
   std::string listen_text;
   std::string reactor_listen_text = "127.0.0.1:0";
   std::uint64_t parties = 0, seed = 1, threads = 0, deadline_ms = 30000;
-  std::uint64_t reactor_loops = 0;
+  std::uint64_t reactor_loops = 2;
   std::uint64_t shards = 1, shard_index = 0, replicas = 1;
   bool have_shard_index = false;
   proto::ShardLayout layout = proto::ShardLayout::kHashMod;
@@ -563,8 +567,9 @@ int cmd_serve_daemon(int argc, char** argv) {
       else if (value == "range") layout = proto::ShardLayout::kHashRange;
       else return usage_error("unknown shard layout (use `mod` or `range`)");
     } else if (arg == "--reactor-loops") {
-      if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops > 64)
-        return usage_error("--reactor-loops needs a count in [0, 64]");
+      if (++i >= argc || !parse_u64(argv[i], reactor_loops) || reactor_loops == 0 ||
+          reactor_loops > 64)
+        return usage_error("--reactor-loops needs a count in [1, 64]");
     } else if (arg == "--reactor-listen") {
       if (++i >= argc) return usage_error("--reactor-listen needs HOST:PORT");
       reactor_listen_text = argv[i];
@@ -645,11 +650,9 @@ int cmd_serve_daemon(int argc, char** argv) {
   }
   // Serving clients parse this one — it must come AFTER the hub line so
   // scripts reading only the first line keep working.
-  if (reactor_loops > 0) {
-    std::printf("reactor listening on %s (%llu loops)\n",
-                daemon.reactor_addr().to_string().c_str(),
-                static_cast<unsigned long long>(reactor_loops));
-  }
+  std::printf("reactor listening on %s (%llu loops)\n",
+              daemon.reactor_addr().to_string().c_str(),
+              static_cast<unsigned long long>(reactor_loops));
   std::fflush(stdout);
 
   const auto summary = daemon.run();
@@ -667,12 +670,10 @@ int cmd_serve_daemon(int argc, char** argv) {
               "%zu cache hits\n",
               summary.contributions, summary.requests_served, stats.fits, stats.incremental,
               stats.hits);
-  if (const auto* reactor = daemon.reactor()) {
-    const auto rs = reactor->stats();
-    std::printf("reactor: %zu accepted, %zu requests, %zu responses, "
-                "%zu evicted idle, %zu shed\n",
-                rs.accepted, rs.requests, rs.responses, rs.evicted_idle, rs.shed);
-  }
+  const auto rs = daemon.reactor().stats();
+  std::printf("reactor: %zu accepted, %zu requests, %zu responses, "
+              "%zu evicted idle, %zu shed\n",
+              rs.accepted, rs.requests, rs.responses, rs.evicted_idle, rs.shed);
   return 0;
 }
 
@@ -757,7 +758,7 @@ int cmd_router(int argc, char** argv) {
 int cmd_party(int argc, char** argv) {
   std::vector<const char*> positional;
   std::vector<proto::MiningRequest> job_requests;
-  std::string connect_text;
+  std::string connect_text, serve_text;
   std::uint64_t index = 0, batches = 4, batch_records = 16, deadline_ms = 30000;
   std::uint64_t optimize_threads = 0;
   bool have_index = false;
@@ -771,6 +772,9 @@ int cmd_party(int argc, char** argv) {
     if (arg == "--connect") {
       if (++i >= argc) return usage_error("--connect needs HOST:PORT");
       connect_text = argv[i];
+    } else if (arg == "--serve") {
+      if (++i >= argc) return usage_error("--serve needs HOST:PORT");
+      serve_text = argv[i];
     } else if (arg == "--index") {
       if (++i >= argc || !parse_u64(argv[i], index)) return usage_error("bad --index");
       have_index = true;
@@ -800,6 +804,9 @@ int cmd_party(int argc, char** argv) {
     return usage_error("party takes 1-4 positional arguments");
   if (connect_text.empty()) return usage_error("party needs --connect HOST:PORT");
   if (!have_index) return usage_error("party needs --index");
+  if (serve_text.empty() && (batches > 0 || !job_requests.empty()))
+    return usage_error("party needs --serve HOST:PORT (the reactor door) to stream "
+                       "batches or run jobs");
 
   std::uint64_t parties = 5, seed = 1;
   double sigma = 0.1;
@@ -835,6 +842,12 @@ int cmd_party(int argc, char** argv) {
   } catch (const sap::Error&) {
     return usage_error("--connect needs HOST:PORT (IPv4 or localhost)");
   }
+  net::SocketAddr serve_addr;
+  try {
+    if (!serve_text.empty()) serve_addr = net::SocketAddr::parse(serve_text);
+  } catch (const sap::Error&) {
+    return usage_error("--serve needs HOST:PORT (IPv4 or localhost)");
+  }
   opts.index = index;
   opts.parties = parties;
   opts.sap = net::serving_session_options(sigma, seed, optimize_threads);
@@ -851,32 +864,50 @@ int cmd_party(int argc, char** argv) {
               report.identifiability);
   std::fflush(stdout);
 
-  // Stream this party's share of the held-back batches, in global order.
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    if (b % parties != index) continue;
-    const auto batch = stream.slice(b * batch_records, (b + 1) * batch_records);
-    const auto receipt = party.contribute(batch);
-    std::printf("party %llu: batch %llu accepted: pool %zu records at epoch %llu\n",
-                static_cast<unsigned long long>(index), static_cast<unsigned long long>(b),
-                receipt.pool_records, static_cast<unsigned long long>(receipt.pool_epoch));
-    std::fflush(stdout);
-  }
-
   bool any_refused = false;
-  for (const auto& req : job_requests) {
-    const auto response = party.mine_named(req.job, req.params);
-    any_refused = any_refused || response.values.empty();
-    std::string values;
-    for (const double v : response.values) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%s%.6f", values.empty() ? "" : " ", v);
-      values += buf;
+  if (!serve_text.empty()) {
+    // The door answers "not serving yet" (a transient kError the idempotent
+    // retry absorbs) until the daemon has installed the pool, so one
+    // retried stats round trip waits for it within --deadline-ms.
+    net::ServeClient::Options copts;
+    copts.timeout_ms = static_cast<int>(deadline_ms);
+    copts.retry_deadline_ms = static_cast<int>(deadline_ms);
+    copts.retry_attempts = static_cast<int>(deadline_ms) / copts.retry_backoff_ms;
+    net::ServeClient door(serve_addr, seed, parties, copts);
+    (void)door.stats();
+
+    // Stream this party's share of the held-back batches, in global order.
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      if (b % parties != index) continue;
+      const auto batch = stream.slice(b * batch_records, (b + 1) * batch_records);
+      const auto receipt = door.contribute_wire(party.contribution_wire(batch));
+      std::printf("party %llu: batch %llu accepted: pool %zu records at epoch %llu\n",
+                  static_cast<unsigned long long>(index), static_cast<unsigned long long>(b),
+                  receipt.pool_records, static_cast<unsigned long long>(receipt.pool_epoch));
+      std::fflush(stdout);
     }
-    std::printf("party %llu: job %s -> [%s] (epoch %llu%s)\n",
-                static_cast<unsigned long long>(index), req.job.c_str(), values.c_str(),
-                static_cast<unsigned long long>(response.pool_epoch),
-                response.values.empty() ? ", refused" : "");
-    std::fflush(stdout);
+
+    for (const auto& req : job_requests) {
+      try {
+        const auto response = door.mine_named(req.job, req.params);
+        std::string values;
+        for (const double v : response.values) {
+          char buf[32];
+          std::snprintf(buf, sizeof buf, "%s%.6f", values.empty() ? "" : " ", v);
+          values += buf;
+        }
+        std::printf("party %llu: job %s -> [%s] (epoch %llu)\n",
+                    static_cast<unsigned long long>(index), req.job.c_str(), values.c_str(),
+                    static_cast<unsigned long long>(response.pool_epoch));
+      } catch (const net::ServeError& e) {
+        any_refused = true;
+        // what() carries the typed code: "serve-error(<code>): <message>".
+        std::printf("party %llu: job %s refused: %s\n",
+                    static_cast<unsigned long long>(index), req.job.c_str(), e.what());
+      }
+      std::fflush(stdout);
+    }
+    door.bye();
   }
 
   party.finish();
