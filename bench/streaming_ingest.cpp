@@ -14,14 +14,21 @@
 //   within the DESIGN.md §6 equivalence bar of the full-retrain reports
 //   (bit-equal for Knn, <= 1e-12 for NaiveBayes).
 //
-// Part 2 (determinism): a full protocol scenario — exchange, then
+// Part 2 (append scaling): one-row append_records calls on a pool of N
+// records vs one of 8N, over interleaved pairs (bench_util::paired_ab).
+// Appends write into a shared, capacity-doubling row store (DESIGN.md §6),
+// so a one-row batch costs O(batch) whatever the pool size. Bar: the
+// median per-pair ratio of median append times, 8N over N, <= 1.5x — a
+// copy-per-append pool reads about 8x.
+//
+// Part 3 (determinism): a full protocol scenario — exchange, then
 // interleaved mining batches and Contribute-phase ingests — executed over
 // {simulated, threaded} transports x {0, 2, 8} engine threads. Every
 // configuration must produce bit-identical reports and a bit-identical
 // final pool (pool mutations are epoch-ordered regardless of scheduling).
 //
-// Output: aligned table on stdout + BENCH_streaming_ingest.json.
-// Exit code 1 when any bar fails.
+// Output: aligned tables on stdout + BENCH_streaming_ingest.json and
+// BENCH_streaming_ingest_append.json. Exit code 1 when any bar fails.
 //
 // Usage: streaming_ingest [--quick] [--rows N] [--batches B]
 #include <algorithm>
@@ -124,6 +131,28 @@ TimingOutcome run_timing(std::size_t rows, std::size_t batches,
   return out;
 }
 
+// ---- append scaling ---------------------------------------------------------
+
+/// Median wall time, in microseconds, of `appends` one-row append_records
+/// calls on an engine holding the first `rows` records of `all`.
+double median_append_us(const Dataset& all, std::size_t rows, std::size_t appends) {
+  proto::MiningEngine engine({.threads = 0,
+                              .cache_models = true,
+                              .shards = 1,
+                              .layout = proto::ShardLayout::kHashMod,
+                              .owned = {}});
+  engine.set_pool(all.slice(0, rows));
+  std::vector<double> us;
+  us.reserve(appends);
+  for (std::size_t i = 0; i < appends; ++i) {
+    const Dataset batch = all.slice(rows + i, rows + i + 1);
+    const sap::Stopwatch sw;
+    (void)engine.append_records(batch);
+    us.push_back(sw.millis() * 1e3);
+  }
+  return sap::bench::exact_median(us);
+}
+
 // ---- determinism across transports and thread counts ----------------------
 
 struct ScenarioResult {
@@ -187,10 +216,12 @@ bool identical(const ScenarioResult& a, const ScenarioResult& b) {
 int main(int argc, char** argv) {
   std::size_t rows = 16384, batches = 8;
   const std::size_t batch_records = 64;
+  bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       rows = 4096;
       batches = 4;
+      quick = true;
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
@@ -218,6 +249,40 @@ int main(int argc, char** argv) {
   bool ok = timing.ok && nb_speedup >= 3.0 && knn_speedup >= 3.0;
   if (nb_speedup < 3.0 || knn_speedup < 3.0)
     std::fprintf(stderr, "FAIL: incremental refit speedup below the 3x bar\n");
+
+  // Append scaling: a one-row append costs the same at 8N records as at N.
+  const std::size_t base_rows = rows / 2;
+  const std::size_t appends = 65;
+  const std::size_t pairs = quick ? 9 : 15;
+  const Dataset scaling_pool = timing_pool(8 * base_rows + appends);
+  std::vector<double> small_us, large_us;
+  const auto scaling = sap::bench::paired_ab(
+      pairs,
+      [&] {
+        large_us.push_back(median_append_us(scaling_pool, 8 * base_rows, appends));
+        return std::vector<double>{large_us.back()};
+      },
+      [&] {
+        small_us.push_back(median_append_us(scaling_pool, base_rows, appends));
+        return std::vector<double>{small_us.back()};
+      });
+  const double append_ratio = scaling.front().median;
+  Table append_table({"pool records", "median append us", "ratio 8N/N", "ratio iqr"});
+  append_table.add_row({std::to_string(base_rows),
+                        Table::num(sap::bench::exact_median(small_us), 3), "-", "-"});
+  append_table.add_row({std::to_string(8 * base_rows),
+                        Table::num(sap::bench::exact_median(large_us), 3),
+                        Table::num(append_ratio, 3), Table::num(scaling.front().iqr, 3)});
+  std::printf("\n");
+  sap::bench::emit_table("streaming_ingest_append", append_table,
+                         {.transport = "in-process", .threads = 0});
+  std::printf("append scaling: median per-pair ratio 8N/N %.3f over %zu pairs (bar: <= 1.5)\n",
+              append_ratio, pairs);
+  if (append_ratio > 1.5) {
+    std::fprintf(stderr, "FAIL: a one-row append at %zu records costs %.2fx one at %zu\n",
+                 8 * base_rows, append_ratio, base_rows);
+    ok = false;
+  }
 
   // Determinism: reports and final pool bit-identical across transports and
   // engine thread counts.

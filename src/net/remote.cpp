@@ -96,12 +96,6 @@ MinerDaemon::MinerDaemon(MinerDaemonOptions opts)
       ropts, [this](const Frame& frame) { return serve_frame(frame); });
 }
 
-void MinerDaemon::note(const std::string& line) const {
-  if (!opts_.log) return;
-  MutexLock lk(log_mutex_);
-  opts_.log(line);
-}
-
 void MinerDaemon::serve_error(proto::ServeErrorCode code, const std::string& message,
                               proto::PayloadKind& out_kind,
                               std::vector<double>& out_wire) const {
@@ -110,7 +104,7 @@ void MinerDaemon::serve_error(proto::ServeErrorCode code, const std::string& mes
     case proto::ServeErrorCode::kNotOwner: ctr_refused_owner_->increment(); break;
     case proto::ServeErrorCode::kUnavailable: ctr_refused_unavail_->increment(); break;
   }
-  note("refused (" + proto::to_string(code) + "): " + message);
+  note([&] { return "refused (" + proto::to_string(code) + "): " + message; });
   out_kind = proto::PayloadKind::kServeError;
   out_wire = proto::encode_serve_error(code, message);
 }
@@ -143,21 +137,23 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
                     "MinerDaemon: contribution from unknown party (no adaptor for "
                     "nonce)");
         const auto batch = proto::logic::adapt_contribution(contribution, it->second, dims_);
-        const auto epoch = engine_.append_records(contribution.nonce, batch);
-        // The receipt's record count is the OWNING shard's size — for the
-        // classic single-shard daemon that is the whole pool, bit-identical
-        // to the pre-cluster receipts.
-        const auto records = engine_.shard_view(global).snap->rows.size();
-        out_wire = proto::encode_receipt(epoch, records);
+        // The receipt's record count is the OWNING shard's size at the new
+        // epoch — for the classic single-shard daemon that is the whole
+        // pool, bit-identical to the pre-cluster receipts.
+        const auto receipt = engine_.append_records(contribution.nonce, batch);
+        out_wire = proto::encode_receipt(receipt.epoch, receipt.records);
         contributions_.fetch_add(1, std::memory_order_relaxed);
         ctr_ingest_records_->add(batch.size());
-        g_ingest_epoch_->set(static_cast<double>(epoch));
-        note("contribution accepted: shard " + std::to_string(global) + " at " +
-             std::to_string(records) + " records, epoch " + std::to_string(epoch));
+        g_ingest_epoch_->set(static_cast<double>(receipt.epoch));
+        note([&] {
+          return "contribution accepted: shard " + std::to_string(global) + " at " +
+                 std::to_string(receipt.records) + " records, epoch " +
+                 std::to_string(receipt.epoch);
+        });
       } catch (const Error& e) {
         // Negative receipt (epoch 0): the contributor learns of the
         // rejection immediately instead of stalling out its deadline.
-        note(std::string("rejected contribution: ") + e.what());
+        note([&] { return std::string("rejected contribution: ") + e.what(); });
         ctr_ingest_rejected_->increment();
         out_wire = proto::encode_receipt(/*pool_epoch=*/0, /*pool_records=*/0);
       }
@@ -269,7 +265,7 @@ bool MinerDaemon::serve_payload(proto::PayloadKind kind, std::span<const double>
         const auto view = engine_.shard_view(shard);
         SAP_REQUIRE(view.snap != nullptr, "shard not installed yet");
         out_kind = proto::PayloadKind::kShardSnapshotResponse;
-        out_wire = proto::encode_pool_slice(view.epoch, view.snap->rows, view.snap->keys);
+        out_wire = proto::encode_pool_slice(view.epoch, view.snap->rows(), view.snap->keys());
       } catch (const Error& e) {
         serve_error(proto::ServeErrorCode::kUnavailable, e.what(), out_kind, out_wire);
       }
@@ -299,6 +295,8 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
   snap.set_counter("engine.cache.incremental", cache.incremental);
   snap.set_counter("engine.cache.hits", cache.hits);
   snap.set_gauge("engine.cache.entries", static_cast<double>(cache.entries));
+  snap.set_counter("pool.snapshot_builds", cache.snapshot_builds);
+  snap.set_counter("pool.store_grows", cache.store_grows);
   const auto pool = engine_.pool_stats();
   snap.set_counter("engine.pool.batches", pool.batches);
   snap.set_counter("engine.pool.tasks", pool.tasks);
@@ -306,24 +304,16 @@ obs::Snapshot MinerDaemon::stats_snapshot() {
   snap.set_gauge("engine.pool.peak_batch", static_cast<double>(pool.peak_batch));
   if (serving_.load(std::memory_order_acquire)) {
     // Pool shape: records + live snapshot refcounts over owned shards, the
-    // epoch watermark, and how far the hottest shard runs ahead of it.
+    // epoch watermark, and how far the hottest shard runs ahead of it. Row
+    // counts only — reading them never builds a snapshot's Dataset.
     std::size_t records = 0;
     long refs = 0;
     std::uint64_t max_epoch = 0;
-    if (engine_.total_shards() == 1) {
-      const auto view = engine_.pool_view();
-      if (view.data) {
-        records = view.data->size();
-        refs = view.data.use_count();
-        max_epoch = view.epoch;
-      }
-    } else {
-      for (const auto g : engine_.owned_shards()) {
-        const auto view = engine_.shard_view(g);
-        records += view.snap->rows.size();
-        refs += view.snap.use_count();
-        max_epoch = std::max(max_epoch, view.epoch);
-      }
+    for (const auto g : engine_.owned_shards()) {
+      const auto view = engine_.shard_view(g);
+      records += view.snap->size();
+      refs += view.snap.use_count();
+      max_epoch = std::max(max_epoch, view.epoch);
     }
     const std::uint64_t watermark = engine_.pool_epoch();
     snap.set_gauge("pool.records", static_cast<double>(records));
@@ -408,7 +398,7 @@ std::vector<Frame> MinerDaemon::serve_frame(const Frame& frame) {
   } catch (const Error& e) {
     // Per-request containment — answer kError so the client fails fast
     // instead of timing out.
-    note(std::string("reactor rejected request: ") + e.what());
+    note([&] { return std::string("reactor rejected request: ") + e.what(); });
     Frame err;
     err.type = FrameType::kError;
     err.from = miner_id_;
@@ -457,7 +447,7 @@ MinerDaemon::Summary MinerDaemon::run() {
     try {
       got = hub_->try_receive(miner_id_, msg, static_cast<int>(remaining.count()));
     } catch (const Error& e) {
-      note(std::string("rejected message during the exchange: ") + e.what());
+      note([&] { return std::string("rejected message during the exchange: ") + e.what(); });
       continue;
     }
     if (!got) continue;  // loop re-checks the deadline
@@ -491,7 +481,7 @@ MinerDaemon::Summary MinerDaemon::run() {
             "duplicate adaptor for a nonce");
       }
     } catch (const Error& e) {
-      note(std::string("rejected message during the exchange: ") + e.what());
+      note([&] { return std::string("rejected message during the exchange: ") + e.what(); });
     }
   }
   // Unify exactly the k matched pairs; unmatched surplus (noise that never
@@ -510,10 +500,12 @@ MinerDaemon::Summary MinerDaemon::run() {
     matched_adaptors.emplace_back(nonce, std::move(it->second));
   }
   if (matched_shards.size() < shards.size() || matched_adaptors.size() < adaptors.size())
-    note("discarded " + std::to_string(shards.size() - matched_shards.size()) +
-         " unmatched shard(s) and " +
-         std::to_string(adaptors.size() - matched_adaptors.size()) +
-         " unmatched adaptor(s)");
+    note([&] {
+      return "discarded " + std::to_string(shards.size() - matched_shards.size()) +
+             " unmatched shard(s) and " +
+             std::to_string(adaptors.size() - matched_adaptors.size()) +
+             " unmatched adaptor(s)";
+    });
   auto unified =
       proto::logic::unify_pool(std::move(matched_shards), std::move(matched_adaptors), k);
   adaptors_ = std::move(unified.adaptors);
@@ -537,10 +529,10 @@ MinerDaemon::Summary MinerDaemon::run() {
                 "MinerDaemon: segment sizes do not cover the unified pool");
     engine_.set_pool_segments(std::move(segments));
   }
-  if (engine_.total_shards() == 1) {
-    note("pool installed: " + std::to_string(summary.pool_records) + " records, digest " +
-         std::to_string(dataset_digest(*engine_.pool_view().data)));
-  } else {
+  note([&] {
+    if (engine_.total_shards() == 1)
+      return "pool installed: " + std::to_string(summary.pool_records) +
+             " records, digest " + std::to_string(dataset_digest(*engine_.pool_view().data));
     std::string line = "pool installed: ";
     line += std::to_string(summary.pool_records);
     line += " records across owned shards{";
@@ -548,11 +540,11 @@ MinerDaemon::Summary MinerDaemon::run() {
       line += " ";
       line += std::to_string(g);
       line += ":";
-      line += std::to_string(engine_.shard_view(g).snap->rows.size());
+      line += std::to_string(engine_.shard_view(g).snap->size());
     }
     line += " }";
-    note(line);
-  }
+    return line;
+  });
   // Rejoin resync: a restarted miner's exchange re-derives the adaptors and
   // the INITIAL pool deterministically, but contributions streamed while it
   // was dead live only on surviving replicas — pull them before serving so
@@ -571,7 +563,7 @@ MinerDaemon::Summary MinerDaemon::run() {
     try {
       if (hub_->try_receive(miner_id_, msg, /*timeout_ms=*/50)) refuse_on_hub(msg);
     } catch (const Error& e) {
-      note(std::string("rejected message: ") + e.what());
+      note([&] { return std::string("rejected message: ") + e.what(); });
     }
   }
 
@@ -593,8 +585,8 @@ MinerDaemon::Summary MinerDaemon::run() {
     std::uint64_t digest = 0;
     for (const auto g : engine_.owned_shards()) {
       const auto view = engine_.shard_view(g);
-      records += view.snap->rows.size();
-      digest += dataset_multiset_digest(view.snap->rows);
+      records += view.snap->size();
+      digest += dataset_multiset_digest(view.snap->rows());
     }
     summary.pool_records = records;
     summary.pool_epoch = engine_.pool_epoch();
@@ -639,29 +631,37 @@ void MinerDaemon::resync_owned_shards() {
         auto snap = client.shard_snapshot(g);
         client.bye();
         if (snap.shard_epoch <= local_epoch) {
-          note("resync: peer " + peer.to_string() + " shard " + std::to_string(g) +
-               " epoch " + std::to_string(snap.shard_epoch) + " not ahead of local " +
-               std::to_string(local_epoch) + "; keeping exchange state");
+          note([&] {
+            return "resync: peer " + peer.to_string() + " shard " + std::to_string(g) +
+                   " epoch " + std::to_string(snap.shard_epoch) + " not ahead of local " +
+                   std::to_string(local_epoch) + "; keeping exchange state";
+          });
           continue;
         }
         const std::size_t records = snap.rows.size();
         engine_.install_shard(g, std::move(snap.rows), std::move(snap.keys),
                               snap.shard_epoch);
-        note("resync: shard " + std::to_string(g) + " adopted from " +
-             peer.to_string() + " at epoch " + std::to_string(snap.shard_epoch) +
-             " (" + std::to_string(records) + " records)");
+        note([&] {
+          return "resync: shard " + std::to_string(g) + " adopted from " +
+                 peer.to_string() + " at epoch " + std::to_string(snap.shard_epoch) +
+                 " (" + std::to_string(records) + " records)";
+        });
         adopted = true;
         break;
       } catch (const Error& e) {
         // Down peer, non-owner (typed kNotOwner), or mid-install: try the
         // next one. Resync is best effort — a cold start still serves.
-        note("resync: peer " + peer.to_string() + " shard " + std::to_string(g) +
-             " unavailable: " + e.what());
+        note([&] {
+          return "resync: peer " + peer.to_string() + " shard " + std::to_string(g) +
+                 " unavailable: " + e.what();
+        });
       }
     }
-    if (!adopted && opts_.log)
-      note("resync: shard " + std::to_string(g) + " keeps local epoch " +
-           std::to_string(local_epoch));
+    if (!adopted)
+      note([&] {
+        return "resync: shard " + std::to_string(g) + " keeps local epoch " +
+               std::to_string(local_epoch);
+      });
   }
 }
 
@@ -741,7 +741,7 @@ std::vector<double> ServeClient::transact(proto::PayloadKind kind,
   for (;;) {
     const Frame resp = read_frame();
     if (resp.type == FrameType::kError)
-      SAP_FAIL("ServeClient: request refused: " + body_text(resp.body));
+      throw RequestRefused("ServeClient: request refused: " + body_text(resp.body));
     if (resp.type != FrameType::kData) continue;  // stray control traffic
     last_trace_ = resp.trace;
     const bool typed_error =
@@ -770,9 +770,11 @@ std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
     } catch (const ServeError&) {
       throw;  // the daemon answered — typed refusals are never transport noise
     } catch (const Error& e) {
-      // Transport failure (reset, timeout, corrupt frame, dropped write):
-      // state on the wire is unknown but the request is idempotent, so a
-      // fresh connection + resend is safe. Budget- AND deadline-bounded.
+      // A kError answer ("not serving yet", shed) leaves a healthy socket in
+      // frame sync: back off and resend on it. Any other failure (reset,
+      // timeout, corrupt frame, dropped write) leaves the wire state
+      // unknown, but the request is idempotent, so a fresh connection +
+      // resend is safe. Budget- AND deadline-bounded either way.
       if (attempt >= opts_.retry_attempts) throw;
       // The shift is capped so a large attempt budget cannot overflow it.
       const int base = std::min(opts_.retry_backoff_ms << std::min(attempt, 16),
@@ -785,11 +787,11 @@ std::vector<double> ServeClient::transact_idempotent(proto::PayloadKind kind,
       if (wake >= deadline) throw;  // deadline-scoped: no attempt past it
       std::this_thread::sleep_for(std::chrono::milliseconds(base + jitter));
       ++retries_;
-      // The old socket may be half-dead in any number of ways — drop it so
-      // the next attempt rebuilds from scratch (reconnect failures route
-      // through this same catch and back off further).
-      sock_.close();
-      (void)e;
+      // After a transport failure the old socket may be half-dead in any
+      // number of ways — drop it so the next attempt rebuilds from scratch
+      // (reconnect failures route through this same catch and back off
+      // further).
+      if (dynamic_cast<const RequestRefused*>(&e) == nullptr) sock_.close();
     }
   }
 }

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/mutex.hpp"
@@ -61,6 +62,14 @@ class ServeError : public Error {
 
  private:
   proto::ServeErrorCode code_;
+};
+
+/// Raised client-side when an endpoint answers a request with a kError
+/// frame ("not serving yet", a shed request): the endpoint is alive and the
+/// connection still in frame sync, so a retry resends on the same socket.
+class RequestRefused : public Error {
+ public:
+  using Error::Error;
 };
 
 /// Order-sensitive FNV-1a digest of a dataset (feature bit patterns +
@@ -140,7 +149,8 @@ class MinerDaemon {
   /// True once run() has installed the pool and the reactor answers
   /// serving traffic. Before this, requests are refused with a
   /// kError frame ("not serving yet") — a TRANSIENT refusal by the DESIGN.md
-  /// §13 taxonomy, so retrying clients absorb it like any transport fault.
+  /// §13 taxonomy, so retrying clients back off and resend on the same
+  /// connection.
   /// Callers without a retry budget (tests, probes) poll here instead.
   [[nodiscard]] bool serving() const noexcept {
     return serving_.load(std::memory_order_acquire);
@@ -178,7 +188,15 @@ class MinerDaemon {
   [[nodiscard]] obs::Snapshot stats_snapshot();
 
  private:
-  void note(const std::string& line) const;
+  /// Hand one progress line to opts_.log. `make_line` returns the line and
+  /// runs only when a sink is set, so a daemon without one formats nothing.
+  template <typename MakeLine>
+  void note(MakeLine&& make_line) const {
+    if (!opts_.log) return;
+    const std::string line = std::forward<MakeLine>(make_line)();
+    MutexLock lk(log_mutex_);
+    opts_.log(line);
+  }
 
   /// The serving dispatch behind serve_frame. Returns false for
   /// non-serving kinds (late exchange traffic, reports). Contribution
@@ -251,7 +269,8 @@ class ServeClient {
     std::size_t max_frame_body = kDefaultMaxBody;
     /// Transport-level retry budget for IDEMPOTENT requests (mine_named,
     /// mine_partial, pool_slice, stats, shard_snapshot): up to this many
-    /// reconnect-and-resend attempts after the first try. 0 (default)
+    /// resend attempts after the first try (reconnecting first after a
+    /// transport failure). 0 (default)
     /// preserves the classic fail-fast behavior. Contributions are NEVER
     /// retried here — a lost ack leaves the append outcome unknown, and a
     /// blind resend could double-append silently (the router's replica
@@ -311,7 +330,7 @@ class ServeClient {
   /// kStatsRequest/kStatsResponse round trip — the stats door).
   proto::DecodedStats stats();
 
-  /// Transport-level retries performed so far (attempts beyond the first).
+  /// Retries performed so far (attempts beyond the first).
   [[nodiscard]] std::size_t retries() const noexcept { return retries_; }
 
   /// Sticky trace id stamped on every subsequent request frame (0 = let
@@ -327,14 +346,15 @@ class ServeClient {
 
  private:
   /// Send `payload` as `kind`, await a kData reply of `expect_kind`
-  /// (kError frames raise sap::Error with the daemon's message).
+  /// (kError frames raise RequestRefused with the daemon's message).
   std::vector<double> transact(proto::PayloadKind kind, std::span<const double> payload,
                                proto::PayloadKind expect_kind);
   /// transact() with the Options retry budget applied — idempotent request
-  /// kinds only. Transport failures reconnect + resend with exponential
-  /// backoff and deterministic jitter until the attempt budget or the
-  /// retry deadline runs out; ServeError (a typed daemon answer) is never
-  /// retried here — the daemon processed the request.
+  /// kinds only. Every retry backs off exponentially with deterministic
+  /// jitter until the attempt budget or the retry deadline runs out: after
+  /// a RequestRefused it resends on the same connection, after a transport
+  /// failure it reconnects first. ServeError (a typed daemon answer) is
+  /// never retried here — the daemon processed the request.
   std::vector<double> transact_idempotent(proto::PayloadKind kind,
                                           std::span<const double> payload,
                                           proto::PayloadKind expect_kind);

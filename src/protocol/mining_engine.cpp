@@ -75,10 +75,10 @@ void MiningEngine::set_pool_segments(std::vector<PoolSegment> segments) {
 }
 
 std::uint64_t MiningEngine::append_records(const data::Dataset& batch) {
-  return sole_slot("append_records").append(0, batch);
+  return sole_slot("append_records").append(0, batch).epoch;
 }
 
-std::uint64_t MiningEngine::append_records(std::uint64_t nonce,
+AppendReceipt MiningEngine::append_records(std::uint64_t nonce,
                                            const data::Dataset& batch) {
   const std::size_t global = shard_of_nonce(nonce, opts_.shards, opts_.layout);
   return slot_for(global).append(nonce, batch);
@@ -96,14 +96,14 @@ const data::Dataset& MiningEngine::pool() const {
   // The snapshot stays alive through the slot's own reference; per the
   // header contract the returned reference is only valid while no
   // concurrent mutation can replace it.
-  return view.snap->rows;
+  return view.snap->rows();
 }
 
 MiningEngine::PoolView MiningEngine::pool_view() const {
   auto view = sole_slot("pool_view").view();
   if (view.snap == nullptr) return {nullptr, view.epoch};
   // Aliasing share: the Dataset pointer keeps the whole snapshot alive.
-  return {std::shared_ptr<const data::Dataset>(view.snap, &view.snap->rows), view.epoch};
+  return {std::shared_ptr<const data::Dataset>(view.snap, &view.snap->rows()), view.epoch};
 }
 
 std::uint64_t MiningEngine::pool_epoch() const {
@@ -147,15 +147,15 @@ data::Dataset MiningEngine::gather_canonical(const std::vector<PoolShard::View>&
   std::string name;
   for (std::size_t v = 0; v < views.size(); ++v) {
     const auto& snap = *views[v].snap;
-    if (snap.rows.size() == 0) continue;
+    if (snap.size() == 0) continue;
     if (dims == 0) {
-      dims = snap.rows.dims();
-      name = snap.rows.name();
+      dims = snap.dims();
+      name = snap.name();
     }
-    SAP_REQUIRE(snap.rows.dims() == dims,
+    SAP_REQUIRE(snap.dims() == dims,
                 "MiningEngine: shard dimensionality mismatch in gather");
-    for (std::size_t i = 0; i < snap.rows.size(); ++i)
-      rows.push_back({snap.keys[i], v, i});
+    const auto keys = snap.keys();
+    for (std::size_t i = 0; i < snap.size(); ++i) rows.push_back({keys[i], v, i});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.key < b.key; });
@@ -165,10 +165,10 @@ data::Dataset MiningEngine::gather_canonical(const std::vector<PoolShard::View>&
   std::vector<int> labels(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& snap = *views[rows[i].view_idx].snap;
-    const auto rec = snap.rows.record(rows[i].row_idx);
+    const auto rec = snap.record(rows[i].row_idx);
     auto dst = features.row(i);
     std::copy(rec.begin(), rec.end(), dst.begin());
-    labels[i] = snap.rows.label(rows[i].row_idx);
+    labels[i] = snap.label(rows[i].row_idx);
   }
   return data::Dataset(std::move(name), std::move(features), std::move(labels));
 }
@@ -201,8 +201,8 @@ MiningResponse MiningEngine::run_sharded(const JobSpec& spec, const JobParams& r
     std::vector<std::vector<double>> partials;
     partials.reserve(views.size());
     for (const auto& view : views) {
-      if (view.snap->rows.size() == 0) continue;  // empty shards contribute nothing
-      partials.push_back(spec.partial(view.snap->rows, view.snap->keys, queries, resolved));
+      if (view.snap->size() == 0) continue;  // empty shards contribute nothing
+      partials.push_back(spec.partial(view.snap->rows(), view.snap->keys(), queries, resolved));
     }
     SAP_REQUIRE(!partials.empty(), "MiningEngine: empty pool across shards");
     response.values = spec.merge_partials(partials, queries, resolved);
@@ -240,15 +240,19 @@ MiningResponse MiningEngine::run(const MiningRequest& request) {
     const auto view = slots_.front()->view();
     SAP_REQUIRE(view.snap != nullptr, "MiningEngine: no pool installed (set_pool first)");
     response.pool_epoch = view.epoch;
+    // Built once per epoch and shared by every request on it: materializing
+    // the snapshot is not part of acquiring the model, so it stays outside
+    // fit_millis.
+    const data::Dataset& rows = view.snap->rows();
     if (spec.trainable()) {
       Stopwatch fit_sw;
       const auto model = slots_.front()->model_for(spec, resolved, view,
                                                    response.model_cached,
                                                    response.model_incremental);
       response.fit_millis = fit_sw.millis();
-      response.values = spec.serve(*model, view.snap->rows, resolved);
+      response.values = spec.serve(*model, rows, resolved);
     } else {
-      response.values = spec.run(view.snap->rows, resolved);
+      response.values = spec.run(rows, resolved);
     }
   } else {
     response = run_sharded(spec, resolved);
@@ -286,7 +290,7 @@ MiningResponse MiningEngine::run_partial(std::size_t global_shard,
               "MiningEngine::run_partial: shard not installed");
   MiningResponse response;
   response.pool_epoch = view.epoch;
-  response.values = spec.partial(view.snap->rows, view.snap->keys, queries, resolved);
+  response.values = spec.partial(view.snap->rows(), view.snap->keys(), queries, resolved);
   response.millis = sw.millis();
   return response;
 }
@@ -296,7 +300,7 @@ ShardSlice MiningEngine::shard_slice(std::size_t global_shard,
   const auto view = slot_for(global_shard).view();
   SAP_REQUIRE(view.snap != nullptr,
               "MiningEngine::shard_slice: shard not installed");
-  const auto& keys = view.snap->keys;
+  const auto keys = view.snap->keys();
   std::vector<std::size_t> order(keys.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -307,7 +311,7 @@ ShardSlice MiningEngine::shard_slice(std::size_t global_shard,
   if (max_records != 0 && order.size() > max_records) order.resize(max_records);
   ShardSlice slice;
   slice.epoch = view.epoch;
-  slice.rows = view.snap->rows.subset(order);
+  slice.rows = view.snap->rows().subset(order);
   slice.keys.reserve(order.size());
   for (const auto i : order) slice.keys.push_back(keys[i]);
   return slice;
@@ -321,6 +325,8 @@ MiningCacheStats MiningEngine::cache_stats() const {
     stats.incremental += s.incremental;
     stats.hits += s.hits;
     stats.entries += s.entries;
+    stats.snapshot_builds += s.snapshot_builds;
+    stats.store_grows += s.store_grows;
   }
   return stats;
 }

@@ -104,14 +104,9 @@ struct MiningResponse {
                                  ///< incremental refit cost otherwise)
 };
 
-/// Cache accounting (cumulative across the engine's lifetime; sharded:
-/// summed over owned shards).
-struct MiningCacheStats {
-  std::size_t fits = 0;         ///< models trained from scratch
-  std::size_t incremental = 0;  ///< models extended via partial_fit
-  std::size_t hits = 0;         ///< requests served from a cached model
-  std::size_t entries = 0;      ///< live cache entries
-};
+/// Cache and row-store accounting (cumulative across the engine's
+/// lifetime; sharded: summed over owned shards).
+using MiningCacheStats = PoolShard::Stats;
 
 /// One shard's canonically-ordered rows (coordinator-side gathers).
 struct ShardSlice {
@@ -155,8 +150,9 @@ class MiningEngine {
   /// Streaming ingest, routed form: append `batch` as a contribution under
   /// `nonce`, landing on shard_of_nonce(nonce) — which must be owned
   /// (callers check owns() first; cluster daemons answer kNotOwner).
-  /// Returns the OWNING SHARD's new epoch (the contribution receipt).
-  std::uint64_t append_records(std::uint64_t nonce, const data::Dataset& batch);
+  /// Returns the OWNING SHARD's new epoch and its record count at that
+  /// epoch (the contribution receipt).
+  AppendReceipt append_records(std::uint64_t nonce, const data::Dataset& batch);
 
   [[nodiscard]] bool has_pool() const;
   /// Reference to the current pool (single-shard engines only). Valid only

@@ -447,7 +447,7 @@ SapSession::ContributionReceipt SapSession::contribute_raw(std::size_t via_provi
                 "SapSession: contribution from unknown party (no adaptor for nonce)");
     const data::Dataset appended = logic::adapt_contribution(contribution, it->second, dims_);
     receipt.pool_epoch = engine_.append_records(appended);
-    receipt.pool_records = engine_.pool_view().data->size();
+    receipt.pool_records = engine_.shard_view(0).snap->size();  // no Dataset build
   };
   transport_->run_parties(std::move(tasks));
   return receipt;

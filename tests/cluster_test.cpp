@@ -274,19 +274,19 @@ Dataset union_pool(const std::vector<Member*>& members) {
     for (const std::size_t g : m->daemon->engine().owned_shards()) {
       views.push_back(m->daemon->engine().shard_view(g));
       const auto& snap = *views.back().snap;
-      for (std::size_t i = 0; i < snap.keys.size(); ++i)
-        rows.push_back({snap.keys[i], &snap, i});
+      for (std::size_t i = 0; i < snap.size(); ++i)
+        rows.push_back({snap.keys()[i], &snap, i});
     }
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.key < b.key; });
-  const std::size_t dims = rows.empty() ? 0 : rows.front().snap->rows.dims();
+  const std::size_t dims = rows.empty() ? 0 : rows.front().snap->dims();
   sap::linalg::Matrix features(rows.size(), dims, 0.0);
   std::vector<int> labels(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto rec = rows[i].snap->rows.record(rows[i].row);
+    const auto rec = rows[i].snap->record(rows[i].row);
     std::copy(rec.begin(), rec.end(), features.row(i).begin());
-    labels[i] = rows[i].snap->rows.label(rows[i].row);
+    labels[i] = rows[i].snap->label(rows[i].row);
   }
   return {"union", std::move(features), std::move(labels)};
 }

@@ -2,12 +2,15 @@
 // the JobSpec registry (protocol/jobs.hpp), and the MiningEngine
 // (protocol/mining_engine.hpp) — including the determinism invariant (a
 // batch's reports are bit-identical to serial execution regardless of
-// thread count) and an 8-thread hammer against one shared engine. Run under
-// TSAN like the threaded transport.
+// thread count), an 8-thread hammer against one shared engine, and the
+// shared row store behind live-pool snapshots (protocol/pool_shard.hpp).
+// Run under TSAN like the threaded transport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -478,6 +481,153 @@ TEST(LivePoolTest, ServingStaysAvailableDuringConcurrentIngest) {
   proto::MiningEngine fresh{proto::MiningEngineOptions{}};
   fresh.set_pool(pool);
   EXPECT_EQ(settled.values, fresh.run({"nb-train-accuracy", {}}).values);
+}
+
+// ------------------------------------------------------------ row store
+
+/// Synthetic source of `rows` records for the store tests.
+Dataset store_source(std::size_t rows) {
+  sap::data::SyntheticSpec spec;
+  spec.name = "StoreSource";
+  spec.rows = rows;
+  spec.dims = 5;
+  spec.classes = 3;
+  return sap::data::make_synthetic(spec, /*seed=*/17);
+}
+
+void expect_bit_identical(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.dims(), want.dims());
+  EXPECT_EQ(got.name(), want.name());
+  EXPECT_EQ(got.labels(), want.labels());
+  const auto a = got.features().data();
+  const auto b = want.features().data();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
+        << "value " << i;
+}
+
+TEST(RowStoreTest, SnapshotsHeldAcrossCapacityDoublingsBuildTheirExactPrefix) {
+  // An empty install, then one-row appends: the store doubles at 1, 2, 4,
+  // ... rows, so the held counts straddle every doubling. Each snapshot
+  // held along the way must still build exactly the prefix it published,
+  // whatever the writer did to the store (or its successors) afterwards.
+  const Dataset source = store_source(1025);
+  proto::PoolShard shard(/*cache_models=*/true);
+  shard.install(Dataset{}, {});
+  std::set<std::size_t> held_counts;
+  for (std::size_t p = 1; p <= 1024; p *= 2) {
+    held_counts.insert(p);
+    held_counts.insert(p + 1);
+  }
+  held_counts.insert(3);
+  struct Held {
+    proto::PoolShard::View view;
+    Dataset reference;
+    std::vector<proto::PoolKey> keys;
+  };
+  std::vector<Held> held;
+  Dataset reference;
+  std::vector<proto::PoolKey> keys;
+  std::map<std::uint64_t, std::uint32_t> next_seq;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const Dataset row = source.slice(i, i + 1);
+    const std::uint64_t nonce = 7 + i % 3;
+    const auto receipt = shard.append(nonce, row);
+    EXPECT_EQ(receipt.epoch, i + 2);
+    EXPECT_EQ(receipt.records, i + 1);
+    reference = i == 0 ? row : Dataset::concat(reference, row);
+    keys.push_back({nonce, next_seq[nonce]++});
+    if (held_counts.count(i + 1) != 0) held.push_back({shard.view(), reference, keys});
+  }
+  ASSERT_EQ(held.size(), held_counts.size());
+  EXPECT_EQ(shard.stats().snapshot_builds, 0u);
+  for (const auto& h : held) {
+    const auto& snap = *h.view.snap;
+    ASSERT_EQ(snap.size(), h.reference.size());
+    const auto snap_keys = snap.keys();
+    EXPECT_TRUE(std::equal(snap_keys.begin(), snap_keys.end(), h.keys.begin(), h.keys.end()))
+        << "keys at " << snap.size() << " rows";
+    expect_bit_identical(snap.rows(), h.reference);
+  }
+  EXPECT_EQ(shard.stats().snapshot_builds, held.size());
+}
+
+/// Keys of a flat pool: synthetic nonce 0, seq = arrival index.
+std::vector<proto::PoolKey> flat_keys(std::size_t rows) {
+  std::vector<proto::PoolKey> keys;
+  for (std::size_t i = 0; i < rows; ++i) keys.push_back({0, static_cast<std::uint32_t>(i)});
+  return keys;
+}
+
+TEST(RowStoreTest, TwoViewsAtOneEpochShareOneBuild) {
+  const Dataset source = store_source(40);
+  proto::PoolShard shard(/*cache_models=*/true);
+  shard.install(source.slice(0, 30), flat_keys(30));
+  // An installed snapshot is built from the start: reading it builds nothing.
+  EXPECT_EQ(shard.view().snap->rows().size(), 30u);
+  EXPECT_EQ(shard.stats().snapshot_builds, 0u);
+
+  (void)shard.append(0, source.slice(30, 40));
+  const auto first = shard.view();
+  const auto second = shard.view();
+  EXPECT_EQ(first.epoch, second.epoch);
+  const Dataset* built = &first.snap->rows();
+  EXPECT_EQ(built, &second.snap->rows());
+  EXPECT_EQ(built, &first.snap->rows());
+  EXPECT_EQ(shard.stats().snapshot_builds, 1u);
+  expect_bit_identical(*built, source);
+}
+
+TEST(RowStoreTest, TenThousandUnreadAppendsBuildNothingAndGrowLogarithmically) {
+  const Dataset source = store_source(10'000);
+  proto::PoolShard shard(/*cache_models=*/true);
+  shard.install(Dataset{}, {});
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const auto receipt = shard.append(i % 5, source.slice(i, i + 1));
+    ASSERT_EQ(receipt.records, i + 1);
+  }
+  EXPECT_EQ(shard.view().snap->size(), source.size());
+  const auto stats = shard.stats();
+  EXPECT_EQ(stats.snapshot_builds, 0u);  // receipts and counts read no Dataset
+  EXPECT_GE(stats.store_grows, 1u);
+  // ceil(log2(10000)) + 1: capacities 1, 2, 4, ..., 16384.
+  EXPECT_LE(stats.store_grows, 15u);
+}
+
+TEST(RowStoreTest, InstallAfterAppendsStartsAFreshStoreAndSeversLineage) {
+  const Dataset iris = normalized_pool("Iris", 42);
+  const Dataset wine = normalized_pool("Wine", 7);
+  proto::MiningEngine engine{proto::MiningEngineOptions{}};
+  engine.set_pool(iris.slice(0, 100));
+  (void)engine.append_records(iris.slice(100, 120));
+  (void)engine.run({"nb-train-accuracy", {}});  // cached at epoch 2
+  const auto before = engine.shard_view(0);
+  EXPECT_EQ(engine.cache_stats().store_grows, 1u);
+
+  // install (set_pool): a new generation with its own store.
+  engine.set_pool(wine.slice(0, 100));
+  EXPECT_EQ(engine.pool_epoch(), 3u);
+  EXPECT_EQ(engine.append_records(wine.slice(100, 110)), 4u);
+  EXPECT_EQ(engine.cache_stats().store_grows, 2u);
+  const auto fresh = engine.run({"nb-train-accuracy", {}});
+  EXPECT_FALSE(fresh.model_incremental);  // nothing seeds across an install
+  EXPECT_EQ(engine.cache_stats().fits, 2u);
+  expect_bit_identical(engine.pool(), wine.slice(0, 110));
+  // The replaced generation's snapshot still builds its own rows.
+  expect_bit_identical(before.snap->rows(), iris.slice(0, 120));
+  // Within the new generation the lineage holds again.
+  (void)engine.append_records(wine.slice(110, 120));
+  EXPECT_TRUE(engine.run({"nb-train-accuracy", {}}).model_incremental);
+
+  // install_at (the resync door): adopts the donor epoch, fresh store again.
+  engine.install_shard(0, iris.slice(0, 50), flat_keys(50), /*epoch=*/20);
+  EXPECT_EQ(engine.pool_epoch(), 20u);
+  EXPECT_EQ(engine.append_records(iris.slice(50, 60)), 21u);
+  // The third store: set_pool's went 110 -> 120 rows inside capacity 200.
+  EXPECT_EQ(engine.cache_stats().store_grows, 3u);
+  EXPECT_FALSE(engine.run({"nb-train-accuracy", {}}).model_incremental);
+  expect_bit_identical(engine.pool(), iris.slice(0, 60));
 }
 
 // ------------------------------------------------------------ session wiring

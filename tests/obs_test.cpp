@@ -674,4 +674,51 @@ TEST(StatsDoor, RouterCacheCountersFollowAScriptedSequence) {
   cluster.a.stop();
 }
 
+TEST(StatsDoor, PoolStoreCountersCountGrowsAndFirstReadsAcrossTheCluster) {
+  TwoShardCluster cluster(7205);
+  net::RouterDaemonOptions ropts;
+  ropts.router = cluster.router_options();
+  ropts.reactor.listen = {"127.0.0.1", 0};
+  auto router = std::make_unique<net::RouterDaemon>(ropts);
+  net::ServeClient client(router->local_addr(), cluster.fixture.seed, cluster.fixture.k);
+  const auto check = [&](std::uint64_t builds, std::uint64_t grows, const char* step) {
+    const auto snap = client.stats().snapshot;
+    EXPECT_EQ(counter_value(snap, "pool.snapshot_builds"), builds) << step;
+    EXPECT_EQ(counter_value(snap, "pool.store_grows"), grows) << step;
+  };
+  // Installed pools are built already: nothing to count yet.
+  check(0, 0, "after the install");
+
+  // Three one-row contributions from party 0: its shard's first append
+  // allocates the store, the next two fit in it, and no receipt builds.
+  const auto seeds =
+      proto::logic::derive_session_seeds(cluster.fixture.seed, cluster.fixture.k);
+  Engine eng = seeds.provider_eng[0];
+  const auto& shard = cluster.fixture.shards[0];
+  const auto local = proto::logic::optimize_local(shard.features_T(), shard.dims(),
+                                                  cluster.fixture.sap_opts, eng);
+  for (std::size_t i = 100; i < 103; ++i) {
+    const Dataset batch = cluster.fixture.pool.slice(i, i + 1);
+    const auto y = local.g.apply(batch.features_T(), eng);
+    (void)client.contribute_wire(proto::encode_contribution(local.nonce, y, batch.labels()));
+  }
+  check(0, 1, "after three appends");
+
+  // The first read at the new epoch builds the appended shard's snapshot
+  // once (slice and partial share it); later reads at that epoch build
+  // nothing.
+  const proto::JobParams nb = {{"eval-records", 48.0}};
+  (void)client.mine_named("nb-train-accuracy", nb);
+  check(1, 1, "after the first read");
+  (void)client.mine_named("nb-train-accuracy", nb);
+  (void)client.mine_named("record-count");
+  check(1, 1, "after more reads at the same epoch");
+
+  client.bye();
+  router->stop();
+  router.reset();
+  cluster.a.stop();
+  cluster.b.stop();
+}
+
 }  // namespace

@@ -577,6 +577,67 @@ TEST(ReactorDaemon, HubAnswersServingRequestsWithBadRequest) {
   EXPECT_EQ(summary.pool_epoch, 2u);
 }
 
+TEST(ReactorDaemon, RetriedRequestWaitsForTheInstallOnOneConnection) {
+  // Until the exchange installs the pool the door answers kError ("not
+  // serving yet"). That answer comes from a live daemon over a connection
+  // still in frame sync, so a retrying client backs off and resends on the
+  // SAME socket: the reactor accepts exactly one connection.
+  constexpr std::size_t kParties = 3;
+  constexpr std::uint64_t kSeed = 4545;
+  const Dataset raw = sap::data::make_uci("Iris", kSeed);
+  sap::data::MinMaxNormalizer norm;
+  norm.fit(raw.features());
+  const Dataset pool(raw.name(), norm.transform(raw.features()), raw.labels());
+  Engine shard_eng(kSeed ^ 0xBEEF);
+  const auto shards = sap::data::partition(pool.slice(0, 90), kParties, {}, shard_eng);
+  auto sap_opts = proto::SapOptions::fast();
+  sap_opts.seed = kSeed;
+  sap_opts.compute_satisfaction = false;
+
+  net::MinerDaemonOptions daemon_opts;
+  daemon_opts.parties = kParties;
+  daemon_opts.seed = kSeed;
+  net::MinerDaemon daemon(daemon_opts);
+  net::ServeClient::Options copts;
+  copts.retry_attempts = 10'000;
+  copts.retry_backoff_ms = 1;
+  copts.retry_backoff_cap_ms = 5;
+  copts.retry_deadline_ms = 30'000;
+  net::ServeClient client(daemon.reactor_addr(), kSeed, kParties, copts);
+  auto answer = std::async(std::launch::async, [&] { return client.stats(); });
+  // Refused and resent at least once before the exchange even starts.
+  for (int i = 0; i < 10'000 && daemon.reactor().stats().requests < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(daemon.reactor().stats().requests, 2u);
+  EXPECT_FALSE(daemon.serving());
+
+  auto done = std::async(std::launch::async, [&] { return daemon.run(); });
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  std::vector<std::thread> parties;
+  for (std::size_t i = 0; i < kParties; ++i)
+    parties.emplace_back([&, i] {
+      net::PartyClientOptions party_opts;
+      party_opts.connect = daemon.local_addr();
+      party_opts.index = i;
+      party_opts.parties = kParties;
+      party_opts.sap = sap_opts;
+      net::PartyClient party(shards[i], party_opts);
+      (void)party.run_exchange();
+      if (i == 0) released.wait();  // keeps the daemon serving until the answer
+      party.finish();
+    });
+  const auto stats = answer.get();
+  release.set_value();
+  EXPECT_TRUE(daemon.serving());
+  EXPECT_GE(client.retries(), 1u);
+  EXPECT_FALSE(stats.snapshot.counters.empty());
+  EXPECT_EQ(daemon.reactor().stats().accepted, 1u);
+  client.bye();
+  for (auto& t : parties) t.join();
+  EXPECT_EQ(done.get().pool_records, 90u);
+}
+
 TEST(ReactorDaemon, ZeroReactorLoopsIsRejectedAtConstruction) {
   net::MinerDaemonOptions opts;
   opts.parties = 3;
