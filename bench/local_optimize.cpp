@@ -2,9 +2,9 @@
 // search vs the pre-PR serial pipeline, plus the bit-identity invariants.
 //
 // Part 1 (timing, d=34 perturb shape): one provider's LocalOptimize run —
-// optimize_perturbation with the serving attack profile (naive +
-// known-input; the profile `serving_session_options` deploys) — measured
-// three ways:
+// optimize_perturbation with the naive + known-input attack profile (ICA
+// off: the frozen pre-PR pipeline has no ICA kernel to compare against) —
+// measured three ways:
 //
 //   baseline   the pre-PR pipeline, frozen verbatim in namespace prepr:
 //              naive ikj matmul + translation pass + noise pass, per-pair
@@ -15,6 +15,11 @@
 //              rank-reduced Procrustes, per-candidate engines);
 //   fused 2/8T the same with a 2- and 8-worker scoring pool.
 //
+// The speedups are medians of per-pair ratios over interleaved
+// baseline/fused pairs (bench_util::paired_ab), one seed per pair, with
+// their IQR reported. The baseline shares today's Matrix accessor, so the
+// ratios measure the pipeline changes, not the accessor.
+//
 // Acceptance bars (exit code 1 on failure):
 //   * fused 8-thread  >= 3.0x over the pre-PR baseline,
 //   * fused serial    >= 1.5x over the pre-PR baseline,
@@ -22,8 +27,11 @@
 //   * a full SapSession bit-identical across kSimulated / kThreaded / kTcp
 //     with DIFFERENT per-run optimizer thread counts (both axes at once).
 //
-// Also reported (not gated): fused vs unfused apply, scratch-reuse vs
-// per-call evaluate, and the candidate/probe evaluation counts.
+// Also reported (not gated): the deployed serving profile — the optimizer
+// options net::serving_session_options sets (naive + ICA + known-input,
+// 6 candidates, 3 refinement steps), serial — fused vs unfused apply,
+// scratch-reuse vs per-call evaluate, and the candidate/probe evaluation
+// counts.
 //
 // Output: aligned table on stdout + BENCH_local_optimize.json.
 // Usage: local_optimize [--quick]
@@ -381,35 +389,59 @@ int main(int argc, char** argv) {
   // d=34 workload (Ionosphere): the perturb shape the protocol actually runs.
   const data::Dataset ds = bench::normalized_uci("Ionosphere", 7);
   const linalg::Matrix x = ds.features_T();
-  const std::size_t repeats = quick ? 3 : 7;
+  const std::size_t pairs = quick ? 31 : 81;
   const prepr::Options base_opts;
 
+  // Interleaved pairs, one seed per pair: each lambda counts its own calls,
+  // so pair i runs both sides on seed 1000 + i whichever side goes first.
+  // The baseline side repeats its time once per fused configuration, so
+  // ratio k is baseline / fused {0, 2, 8 threads}[k].
   std::vector<double> t_base, t_s0, t_s2, t_s8;
-  std::size_t evals_base = base_opts.candidates + base_opts.refine_steps;
+  const std::size_t evals_base = base_opts.candidates + base_opts.refine_steps;
   std::size_t evals_new = 0;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const std::uint64_t seed = 1000 + r;
-    {
-      Engine eng(seed);
-      Stopwatch sw;
-      (void)prepr::optimize(x, base_opts, eng);
-      t_base.push_back(sw.millis());
-    }
-    for (auto [threads, sink] :
-         {std::pair<std::size_t, std::vector<double>*>{0, &t_s0}, {2, &t_s2}, {8, &t_s8}}) {
-      Engine eng(seed);
-      Stopwatch sw;
-      const auto res = opt::optimize_perturbation(x, bench_optimizer(threads), eng);
-      sink->push_back(sw.millis());
-      evals_new = res.evaluations;
-    }
-  }
+  const auto speedups = bench::paired_ab(
+      pairs,
+      [&] {
+        Engine eng(1000 + t_base.size());
+        Stopwatch sw;
+        (void)prepr::optimize(x, base_opts, eng);
+        t_base.push_back(sw.millis());
+        return std::vector<double>(3, t_base.back());
+      },
+      [&] {
+        const std::uint64_t seed = 1000 + t_s0.size();
+        std::vector<double> ms;
+        for (auto [threads, sink] : {std::pair<std::size_t, std::vector<double>*>{0, &t_s0},
+                                     {2, &t_s2},
+                                     {8, &t_s8}}) {
+          Engine eng(seed);
+          Stopwatch sw;
+          const auto res = opt::optimize_perturbation(x, bench_optimizer(threads), eng);
+          sink->push_back(sw.millis());
+          ms.push_back(sink->back());
+          evals_new = res.evaluations;
+        }
+        return ms;
+      });
   const double base_ms = median(t_base);
   const double s0_ms = median(t_s0);
   const double s2_ms = median(t_s2);
   const double s8_ms = median(t_s8);
-  const double speedup0 = base_ms / s0_ms;
-  const double speedup8 = base_ms / s8_ms;
+  const double speedup0 = speedups[0].median;
+  const double speedup8 = speedups[2].median;
+
+  // The deployed profile (ICA on), serial: reported, not gated.
+  std::vector<double> t_serving;
+  std::size_t evals_serving = 0;
+  for (std::size_t r = 0; r < (quick ? 3 : 7); ++r) {
+    Engine eng(2000 + r);
+    Stopwatch sw;
+    const auto res = opt::optimize_perturbation(
+        x, net::serving_session_options(0.1, 2000 + r, 0).optimizer, eng);
+    t_serving.push_back(sw.millis());
+    evals_serving = res.evaluations;
+  }
+  const double serving_ms = median(t_serving);
 
   // Fused vs unfused apply (translation in the GEMM epilogue + reused output
   // buffer vs naive matmul + translation pass + fresh allocation).
@@ -477,27 +509,32 @@ int main(int argc, char** argv) {
       same_fingerprint(fp_sim, fp_threaded) && same_fingerprint(fp_sim, fp_tcp);
 
   // ---- report -------------------------------------------------------------
-  Table table({"measure", "config", "ms", "speedup", "bar", "status"});
+  Table table({"measure", "config", "ms", "speedup", "iqr", "bar", "status"});
   table.add_row({"local-optimize", "pre-PR serial (" + std::to_string(evals_base) +
                                        " evals)",
-                 Table::num(base_ms, 2), "1.00", "-", "baseline"});
+                 Table::num(base_ms, 2), "1.00", "-", "-", "baseline"});
   table.add_row({"local-optimize", "fused serial (" + std::to_string(evals_new) +
                                        " evals)",
-                 Table::num(s0_ms, 2), Table::num(speedup0, 2), ">=1.5",
-                 speedup0 >= 1.5 ? "pass" : "FAIL"});
+                 Table::num(s0_ms, 2), Table::num(speedup0, 2),
+                 Table::num(speedups[0].iqr, 2), ">=1.5", speedup0 >= 1.5 ? "pass" : "FAIL"});
   table.add_row({"local-optimize", "fused 2 threads", Table::num(s2_ms, 2),
-                 Table::num(base_ms / s2_ms, 2), "-", "info"});
+                 Table::num(speedups[1].median, 2), Table::num(speedups[1].iqr, 2), "-",
+                 "info"});
   table.add_row({"local-optimize", "fused 8 threads", Table::num(s8_ms, 2),
-                 Table::num(speedup8, 2), ">=3.0", speedup8 >= 3.0 ? "pass" : "FAIL"});
+                 Table::num(speedup8, 2), Table::num(speedups[2].iqr, 2), ">=3.0",
+                 speedup8 >= 3.0 ? "pass" : "FAIL"});
+  table.add_row({"local-optimize", "serving profile, ICA on, serial (" +
+                                       std::to_string(evals_serving) + " evals)",
+                 Table::num(serving_ms, 2), "-", "-", "-", "info"});
   table.add_row({"apply d=34xN", "unfused -> fused",
                  Table::num(apply_fused_ms / static_cast<double>(apply_iters), 4),
-                 Table::num(apply_unfused_ms / apply_fused_ms, 2), "-", "info"});
+                 Table::num(apply_unfused_ms / apply_fused_ms, 2), "-", "-", "info"});
   table.add_row({"attack-suite eval", "per-call -> reused scratch",
                  Table::num(eval_scratch_ms / static_cast<double>(eval_iters), 4),
-                 Table::num(eval_percall_ms / eval_scratch_ms, 2), "-", "info"});
-  table.add_row({"bit-identity", "threads {0,2,8}", "-", "-", "exact",
+                 Table::num(eval_percall_ms / eval_scratch_ms, 2), "-", "-", "info"});
+  table.add_row({"bit-identity", "threads {0,2,8}", "-", "-", "-", "exact",
                  threads_identical ? "pass" : "FAIL"});
-  table.add_row({"bit-identity", "sim/threaded/tcp x {8,0,2} threads", "-", "-",
+  table.add_row({"bit-identity", "sim/threaded/tcp x {8,0,2} threads", "-", "-", "-",
                  "exact", transports_identical ? "pass" : "FAIL"});
 
   bench::BenchMeta meta;

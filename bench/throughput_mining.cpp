@@ -3,17 +3,23 @@
 //
 // The bench builds one unified pool (no protocol cost — the engine serves
 // standalone, exactly as it does inside a session's Mine state), then pushes
-// a fixed request load through the MiningEngine in three configurations:
+// a fixed request load through a fresh MiningEngine in three configurations:
 //
 //   retrain-8t    cache off, 8 threads  — PR 1's effective behavior: every
 //                 request re-trains its model from scratch;
 //   cached-8t     cache on,  8 threads  — the train-once/query-many split;
 //   cached-serial cache on,  0 threads  — the serial reference execution.
 //
-// It reports requests/sec and p50/p99 per-request latency, verifies the
-// determinism invariant (threaded reports bit-identical to serial), and
-// asserts the acceptance bar: cached serving >= 5x retraining at 8 threads.
-// Output: aligned table on stdout + BENCH_throughput_mining.json.
+// The acceptance bar — cached serving >= 5x retraining at 8 threads — is
+// judged on the median per-pair req/s ratio of interleaved cached/retrain
+// leg pairs (bench_util::paired_ab), with the ratios' IQR beside it. One
+// single-shot pair is too noisy to gate on (4.5x to 6.5x across quick runs
+// on a 4-thread host): the cached leg's wall time is its few concurrent
+// cold fits, so it moves with scheduling. Every cached-8t leg's
+// reports must be bit-identical to the serial reference (the determinism
+// invariant). Both gates set the exit code.
+// Output: aligned table on stdout + BENCH_throughput_mining.json (per-mode
+// medians over the legs; the cached row carries the paired ratio).
 //
 // Usage: throughput_mining [--quick] [--requests N] [--dataset name]
 #include <algorithm>
@@ -94,10 +100,22 @@ bool reports_identical(const std::vector<proto::MiningResponse>& a,
   return true;
 }
 
+/// The leg with the median req/s: its row stands for the mode in the table.
+const RunStats& median_leg(const std::vector<RunStats>& legs) {
+  std::vector<const RunStats*> order;
+  order.reserve(legs.size());
+  for (const auto& l : legs) order.push_back(&l);
+  std::sort(order.begin(), order.end(), [](const RunStats* a, const RunStats* b) {
+    return a->req_per_sec < b->req_per_sec;
+  });
+  return *order[order.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t requests = 512;
+  constexpr std::size_t pairs = 7;
   std::string dataset = "Diabetes";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -119,41 +137,64 @@ int main(int argc, char** argv) {
 
   const auto pool = sap::bench::normalized_uci(dataset, /*seed=*/17);
   const auto load = make_load(requests);
-  std::printf("pool: %s (%zu records x %zu dims), %zu requests\n\n", pool.name().c_str(),
-              pool.size(), pool.dims(), load.size());
+  std::printf("pool: %s (%zu records x %zu dims), %zu requests, %zu leg pairs\n\n",
+              pool.name().c_str(), pool.size(), pool.dims(), load.size(), pairs);
 
-  const RunStats retrain = serve(pool, load, /*threads=*/8, /*cache=*/false);
-  const RunStats cached = serve(pool, load, /*threads=*/8, /*cache=*/true);
   const RunStats serial = serve(pool, load, /*threads=*/0, /*cache=*/true);
 
-  Table table({"mode", "threads", "requests", "wall ms", "req/s", "p50 ms", "p95 ms",
-               "p99 ms", "fits", "cache hits"});
-  const auto add = [&](const char* mode, std::size_t threads, const RunStats& s) {
+  // Interleaved cached/retrain pairs. Each cached leg is checked against the
+  // serial reference, then drops its responses.
+  std::vector<RunStats> retrain_legs, cached_legs;
+  bool identical = true;
+  const sap::bench::PairedRatio ratio = sap::bench::paired_ab(
+      pairs,
+      [&] {
+        RunStats leg = serve(pool, load, /*threads=*/8, /*cache=*/true);
+        identical = identical && reports_identical(leg.responses, serial.responses);
+        leg.responses.clear();
+        cached_legs.push_back(std::move(leg));
+        return std::vector<double>{cached_legs.back().req_per_sec};
+      },
+      [&] {
+        RunStats leg = serve(pool, load, /*threads=*/8, /*cache=*/false);
+        leg.responses.clear();
+        retrain_legs.push_back(std::move(leg));
+        return std::vector<double>{retrain_legs.back().req_per_sec};
+      })[0];
+
+  Table table({"mode", "threads", "requests", "legs", "wall ms", "req/s", "p50 ms",
+               "p95 ms", "p99 ms", "fits", "cache hits", "speedup", "speedup iqr"});
+  const auto add = [&](const char* mode, std::size_t threads, std::size_t legs,
+                       const RunStats& s, const std::string& speedup,
+                       const std::string& iqr) {
     table.add_row({mode, std::to_string(threads), std::to_string(requests),
-                   Table::num(s.wall_ms, 1), Table::num(s.req_per_sec, 1),
-                   Table::num(s.latency.p50, 3), Table::num(s.latency.p95, 3),
-                   Table::num(s.latency.p99, 3), std::to_string(s.fits),
-                   std::to_string(s.hits)});
+                   std::to_string(legs), Table::num(s.wall_ms, 1),
+                   Table::num(s.req_per_sec, 1), Table::num(s.latency.p50, 3),
+                   Table::num(s.latency.p95, 3), Table::num(s.latency.p99, 3),
+                   std::to_string(s.fits), std::to_string(s.hits), speedup, iqr});
   };
-  add("retrain-8t", 8, retrain);
-  add("cached-8t", 8, cached);
-  add("cached-serial", 0, serial);
+  add("retrain-8t", 8, retrain_legs.size(), median_leg(retrain_legs), "1.00", "-");
+  add("cached-8t", 8, cached_legs.size(), median_leg(cached_legs),
+      Table::num(ratio.median, 2), Table::num(ratio.iqr, 2));
+  add("cached-serial", 0, 1, serial, "-", "-");
   sap::bench::emit_table("throughput_mining", table,
                          {.transport = "simulated", .threads = 8});
 
-  const double speedup = cached.req_per_sec / retrain.req_per_sec;
-  std::printf("\ncached/retrain speedup at 8 threads: %.1fx\n", speedup);
+  std::printf("\ncached/retrain speedup at 8 threads: %.2fx median of %zu pairs "
+              "(IQR %.2f)\n",
+              ratio.median, pairs, ratio.iqr);
 
-  // Determinism invariant: the threaded batch's reports are bit-identical
+  // Determinism invariant: every threaded batch's reports are bit-identical
   // to the serial reference.
-  if (!reports_identical(cached.responses, serial.responses)) {
+  if (!identical) {
     std::fprintf(stderr, "FAIL: threaded reports differ from serial reference\n");
     return 1;
   }
   std::printf("determinism: threaded reports bit-identical to serial (ok)\n");
 
-  if (speedup < 5.0) {
-    std::fprintf(stderr, "FAIL: cached serving speedup %.1fx below the 5x bar\n", speedup);
+  if (ratio.median < 5.0) {
+    std::fprintf(stderr, "FAIL: cached serving speedup %.2fx below the 5x bar\n",
+                 ratio.median);
     return 1;
   }
   return 0;

@@ -15,21 +15,25 @@ Qr qr_decompose(const Matrix& a) {
   const std::size_t n = a.cols();
   SAP_REQUIRE(m > 0 && n > 0, "qr_decompose: empty matrix");
 
+  // Raw row-major storage after the one shape check (DESIGN.md §8): the
+  // same expressions in the same order as the element-access loop.
   Matrix r = a;
   Matrix q = Matrix::identity(m);
+  double* pr = r.data().data();
+  double* pq = q.data().data();
 
   const std::size_t steps = std::min(m == 0 ? 0 : m - 1, n);
   for (std::size_t k = 0; k < steps; ++k) {
     // Householder vector for column k below the diagonal.
     double norm_x = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm_x += r(i, k) * r(i, k);
+    for (std::size_t i = k; i < m; ++i) norm_x += pr[i * n + k] * pr[i * n + k];
     norm_x = std::sqrt(norm_x);
     if (norm_x == 0.0) continue;
 
-    const double alpha = (r(k, k) >= 0.0) ? -norm_x : norm_x;
+    const double alpha = (pr[k * n + k] >= 0.0) ? -norm_x : norm_x;
     Vector v(m - k, 0.0);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
+    v[0] = pr[k * n + k] - alpha;
+    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = pr[i * n + k];
     const double vnorm = norm2(v);
     if (vnorm < 1e-300) continue;
     for (auto& x : v) x /= vnorm;
@@ -37,22 +41,23 @@ Qr qr_decompose(const Matrix& a) {
     // r := (I - 2 v v^T) r on the trailing block.
     for (std::size_t j = k; j < n; ++j) {
       double proj = 0.0;
-      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * r(i, j);
+      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * pr[i * n + j];
       proj *= 2.0;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= proj * v[i - k];
+      for (std::size_t i = k; i < m; ++i) pr[i * n + j] -= proj * v[i - k];
     }
     // q := q (I - 2 v v^T)  (accumulate reflections on the right so that
     // q * r == a at every step).
     for (std::size_t i = 0; i < m; ++i) {
+      double* qi = pq + i * m;
       double proj = 0.0;
-      for (std::size_t j = k; j < m; ++j) proj += q(i, j) * v[j - k];
+      for (std::size_t j = k; j < m; ++j) proj += qi[j] * v[j - k];
       proj *= 2.0;
-      for (std::size_t j = k; j < m; ++j) q(i, j) -= proj * v[j - k];
+      for (std::size_t j = k; j < m; ++j) qi[j] -= proj * v[j - k];
     }
   }
   // Clean numerical dust below the diagonal of R.
   for (std::size_t i = 1; i < m; ++i)
-    for (std::size_t j = 0; j < std::min(i, n); ++j) r(i, j) = 0.0;
+    for (std::size_t j = 0; j < std::min(i, n); ++j) pr[i * n + j] = 0.0;
   return {std::move(q), std::move(r)};
 }
 
@@ -171,24 +176,38 @@ Matrix cholesky(const Matrix& a) {
 SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
   SAP_REQUIRE(a.rows() == a.cols(), "sym_eigen: matrix must be square");
   const std::size_t n = a.rows();
-  SAP_REQUIRE(a.approx_equal(a.transpose(), 1e-8 * (1.0 + a.max_abs())),
-              "sym_eigen: matrix must be symmetric");
+  // Symmetry in place: the same per-element test approx_equal(a^T, ...)
+  // makes, without the transposed copy (|a_ij - a_ji| is symmetric in i, j,
+  // so the upper triangle decides).
+  const double sym_tol = 1e-8 * (1.0 + a.max_abs());
+  const double* pa = a.data().data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      SAP_REQUIRE(!(std::abs(pa[i * n + j] - pa[j * n + i]) > sym_tol),
+                  "sym_eigen: matrix must be symmetric");
 
+  // After the one shape check the rotations run on raw row-major storage,
+  // as svd() below does. The eigenvector accumulator is kept TRANSPOSED
+  // (row j of vt is column j of V), so its column rotation streams two
+  // contiguous rows. The expressions and their order are the classic
+  // element-access loop's, so the result is bit-identical to it.
   Matrix d = a;
-  Matrix v = Matrix::identity(n);
+  Matrix vt = Matrix::identity(n);
+  double* pd = d.data().data();
+  double* pv = vt.data().data();
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off = std::max(off, std::abs(d(p, q)));
+      for (std::size_t q = p + 1; q < n; ++q) off = std::max(off, std::abs(pd[p * n + q]));
     if (off <= tol * (1.0 + d.max_abs())) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = d(p, q);
+        const double apq = pd[p * n + q];
         if (std::abs(apq) <= 1e-300) continue;
-        const double app = d(p, p);
-        const double aqq = d(q, q);
+        const double app = pd[p * n + p];
+        const double aqq = pd[q * n + q];
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                          (std::abs(theta) + std::sqrt(theta * theta + 1.0));
@@ -196,22 +215,27 @@ SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
         const double s = t * c;
 
         for (std::size_t k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
-          const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
-          d(k, q) = s * dkp + c * dkq;
+          double* dk = pd + k * n;
+          const double dkp = dk[p];
+          const double dkq = dk[q];
+          dk[p] = c * dkp - s * dkq;
+          dk[q] = s * dkp + c * dkq;
         }
+        double* dp = pd + p * n;
+        double* dq = pd + q * n;
         for (std::size_t k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
+          const double dpk = dp[k];
+          const double dqk = dq[k];
+          dp[k] = c * dpk - s * dqk;
+          dq[k] = s * dpk + c * dqk;
         }
+        double* vp = pv + p * n;
+        double* vq = pv + q * n;
         for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vkp = vp[k];
+          const double vkq = vq[k];
+          vp[k] = c * vkp - s * vkq;
+          vq[k] = s * vkp + c * vkq;
         }
       }
     }
@@ -221,18 +245,17 @@ SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   Vector diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = d(i, i);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = pd[i * n + i];
   std::sort(order.begin(), order.end(),
             [&](std::size_t x, std::size_t y) { return diag[x] > diag[y]; });
 
   SymEigen out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = diag[order[j]];
-    const Vector column = v.col(order[j]);
-    out.vectors.set_col(j, column);
-  }
+  double* pout = out.vectors.data().data();
+  for (std::size_t j = 0; j < n; ++j) out.values[j] = diag[order[j]];
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) pout[i * n + j] = pv[order[j] * n + i];
   return out;
 }
 

@@ -29,16 +29,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   SAP_REQUIRE(r < rows_, "Matrix::row: index out of range");
   return {data_.data() + r * cols_, cols_};
@@ -229,6 +219,36 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c
   }
 }
 
+namespace {
+
+/// One tile of C = A B^T: MT x NT dot products, each the plain ascending
+/// chain over t. The bounds are compile-time so the accumulators stay in
+/// registers (full tiles); ragged edge tiles instantiate their exact shape.
+template <std::size_t MT, std::size_t NT>
+void abt_tile(const double* a, const double* b, std::size_t n, double* c, std::size_t ldc) {
+  double acc[MT][NT] = {};
+  for (std::size_t t = 0; t < n; ++t)
+    for (std::size_t ii = 0; ii < MT; ++ii) {
+      const double av = a[ii * n + t];
+      for (std::size_t jj = 0; jj < NT; ++jj) acc[ii][jj] += av * b[jj * n + t];
+    }
+  for (std::size_t ii = 0; ii < MT; ++ii)
+    for (std::size_t jj = 0; jj < NT; ++jj) c[ii * ldc + jj] = acc[ii][jj];
+}
+
+template <std::size_t MT>
+void abt_row_tile(std::size_t nt, const double* a, const double* b, std::size_t n, double* c,
+                  std::size_t ldc) {
+  switch (nt) {
+    case 4: abt_tile<MT, 4>(a, b, n, c, ldc); break;
+    case 3: abt_tile<MT, 3>(a, b, n, c, ldc); break;
+    case 2: abt_tile<MT, 2>(a, b, n, c, ldc); break;
+    default: abt_tile<MT, 1>(a, b, n, c, ldc); break;
+  }
+}
+
+}  // namespace
+
 void matmul_abt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   SAP_REQUIRE(a.cols() == b.cols(), "matmul_abt: inner dimension mismatch");
   SAP_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(),
@@ -242,17 +262,17 @@ void matmul_abt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   constexpr std::size_t kTile = 4;
   for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
     const std::size_t mt = std::min(kTile, m - i0);
+    const double* arows = a.data().data() + i0 * n;
     for (std::size_t j0 = 0; j0 < k; j0 += kTile) {
       const std::size_t nt = std::min(kTile, k - j0);
-      double acc[kTile][kTile] = {};
-      for (std::size_t t = 0; t < n; ++t)
-        for (std::size_t ii = 0; ii < mt; ++ii) {
-          const double av = a.data()[(i0 + ii) * n + t];
-          for (std::size_t jj = 0; jj < nt; ++jj)
-            acc[ii][jj] += av * b.data()[(j0 + jj) * n + t];
-        }
-      for (std::size_t ii = 0; ii < mt; ++ii)
-        for (std::size_t jj = 0; jj < nt; ++jj) c(i0 + ii, j0 + jj) = acc[ii][jj];
+      const double* brows = b.data().data() + j0 * n;
+      double* ctile = c.data().data() + i0 * k + j0;
+      switch (mt) {
+        case 4: abt_row_tile<4>(nt, arows, brows, n, ctile, k); break;
+        case 3: abt_row_tile<3>(nt, arows, brows, n, ctile, k); break;
+        case 2: abt_row_tile<2>(nt, arows, brows, n, ctile, k); break;
+        default: abt_row_tile<1>(nt, arows, brows, n, ctile, k); break;
+      }
     }
   }
 }

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace sap::linalg {
 
 using Vector = std::vector<double>;
@@ -51,9 +53,16 @@ class Matrix {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  /// Element access, bounds-checked.
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Element access, bounds-checked in every build type. Defined here so
+  /// the hot numeric loops inline it; the check stays (error.hpp).
+  double& operator()(std::size_t r, std::size_t c) {
+    SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    SAP_REQUIRE(r < rows_ && c < cols_, "Matrix: index out of range");
+    return data_[r * cols_ + c];
+  }
 
   /// Contiguous row view.
   [[nodiscard]] std::span<double> row(std::size_t r);

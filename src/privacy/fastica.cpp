@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/decompose.hpp"
@@ -55,26 +56,39 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
   linalg::Matrix w = linalg::Matrix::generate(k, k, [&] { return eng.normal(); });
   w = symmetric_decorrelate(w);
 
+  // Iteration scratch, shaped once. zt (N x k) holds z's columns as
+  // contiguous rows, so E[g(w^T z) z^T] is the product g(proj) * zt, whose
+  // gemm chains run over ascending t exactly as the per-sample loop did.
+  const linalg::Matrix zt = z.transpose();
+  linalg::Matrix proj(k, n);
+  linalg::Matrix gz(k, k);
+  linalg::Matrix w_new(k, k);
+  linalg::Vector gprime(k);
+
   FastIcaResult result;
   const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    const linalg::Matrix proj = w * z;  // k x N
+    linalg::gemm(1.0, w, z, 0.0, proj);  // k x N
 
-    // E[g(w^T z) z^T] and E[g'(w^T z)]
-    linalg::Matrix gz(k, k);
-    linalg::Vector gprime(k, 0.0);
+    // E[g(w^T z) z^T] and E[g'(w^T z)]; proj becomes g(proj) in place.
     for (std::size_t i = 0; i < k; ++i) {
       auto prow = proj.row(i);
-      for (std::size_t t = 0; t < n; ++t) {
-        const double g = std::tanh(prow[t]);
-        gprime[i] += 1.0 - g * g;
-        for (std::size_t j = 0; j < k; ++j) gz(i, j) += g * z(j, t);
+      double gp = 0.0;
+      for (double& p : prow) {
+        const double g = std::tanh(p);
+        gp += 1.0 - g * g;
+        p = g;
       }
+      gprime[i] = gp;
     }
-    linalg::Matrix w_new(k, k);
+    linalg::gemm(1.0, proj, zt, 0.0, gz);
+
+    const double* pgz = gz.data().data();
+    const double* pw = w.data().data();
+    double* pnew = w_new.data().data();
     for (std::size_t i = 0; i < k; ++i)
       for (std::size_t j = 0; j < k; ++j)
-        w_new(i, j) = gz(i, j) * inv_n - gprime[i] * inv_n * w(i, j);
+        pnew[i * k + j] = pgz[i * k + j] * inv_n - gprime[i] * inv_n * pw[i * k + j];
     w_new = symmetric_decorrelate(w_new);
 
     // Convergence: rows should align with previous rows up to sign.
@@ -83,7 +97,7 @@ FastIcaResult fast_ica(const linalg::Matrix& observations, const FastIcaOptions&
       const double align = std::abs(linalg::dot(w_new.row(i), w.row(i)));
       delta = std::max(delta, std::abs(1.0 - align));
     }
-    w = std::move(w_new);
+    std::swap(w, w_new);
     result.iterations = iter + 1;
     if (delta < opts.tolerance) {
       result.converged = true;

@@ -2,7 +2,9 @@
 // random orthogonal sampling, Procrustes, statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <tuple>
 
@@ -11,6 +13,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/orthogonal.hpp"
 #include "linalg/stats.hpp"
+#include "privacy/fastica.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -49,6 +52,12 @@ TEST(Matrix, OutOfRangeAccessThrows) {
   Matrix m(2, 2);
   EXPECT_THROW(m(2, 0), sap::Error);
   EXPECT_THROW(m(0, 2), sap::Error);
+  // The accessor is inlined from the header; its bounds check must hold in
+  // every build type, on the const overload too.
+  const Matrix c(2, 3);
+  EXPECT_THROW((void)c(2, 0), sap::Error);
+  EXPECT_THROW((void)c(0, 3), sap::Error);
+  EXPECT_NO_THROW((void)c(1, 2));
 }
 
 TEST(Matrix, IdentityProperties) {
@@ -307,6 +316,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SymEigenProperty, ::testing::Values(2, 3, 5, 8, 
 
 TEST(SymEigen, AsymmetricInputThrows) {
   EXPECT_THROW(sap::linalg::sym_eigen(Matrix{{1, 2}, {0, 1}}), sap::Error);
+}
+
+TEST(SymEigen, SymmetryToleranceEdge) {
+  // The symmetry test admits |a_ij - a_ji| <= 1e-8 * (1 + max|a|): here
+  // max|a| = 2, so the bar is 3e-8. Just below passes, just above throws.
+  const Matrix below{{2, 0, 1}, {0, 2, 0}, {1 + 2.9e-8, 0, 2}};
+  const Matrix above{{2, 0, 1}, {0, 2, 0}, {1 + 3.1e-8, 0, 2}};
+  EXPECT_NO_THROW(sap::linalg::sym_eigen(below));
+  EXPECT_THROW(sap::linalg::sym_eigen(above), sap::Error);
+  // The test is two-sided: the lower triangle may be the smaller one.
+  const Matrix above_upper{{2, 1 + 3.1e-8}, {1, 2}};
+  EXPECT_THROW(sap::linalg::sym_eigen(above_upper), sap::Error);
 }
 
 // ------------------------------------------------------------ SVD
@@ -631,6 +652,37 @@ TEST(GatherCols, MatchesPerColumnCopy) {
   }
   const std::vector<std::size_t> bad{12};
   EXPECT_THROW((void)sap::linalg::gather_cols(x, bad), sap::Error);
+}
+
+// ------------------------------------------------------------ FastICA pins
+
+TEST(FastIcaPins, BitIdenticalToPinnedOutput) {
+  // fast_ica runs on raw storage and reused gemm outputs; its arithmetic
+  // order is the element-loop original's, so the output is pinned bit for
+  // bit: an FNV-1a digest over every bit of sources and unmixing, plus two
+  // elements of each as hex floats (x86-64 build, no FMA contraction).
+  Engine eng(31);
+  const std::size_t d = 6, n = 160;
+  const Matrix s = Matrix::generate(d, n, [&] { return eng.uniform(); });
+  const Matrix r = sap::linalg::random_orthogonal(d, eng);
+  const auto res = sap::privacy::fast_ica(r * s, {}, eng);
+
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Matrix* m : {&res.sources, &res.unmixing})
+    for (const double v : m->data()) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffU;
+        h *= 1099511628211ULL;
+      }
+    }
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 13u);
+  EXPECT_EQ(res.sources(0, 0), 0x1.1b77f7756970ep+1);
+  EXPECT_EQ(res.sources(d - 1, n - 1), 0x1.80713e4c87edfp-1);
+  EXPECT_EQ(res.unmixing(0, 0), 0x1.9e4576a3cc7f6p+1);
+  EXPECT_EQ(res.unmixing(d - 1, d - 1), -0x1.138b5d8cf3cf4p+1);
+  EXPECT_EQ(h, 0xde55b8852cafbbdcULL);
 }
 
 }  // namespace
