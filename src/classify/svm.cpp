@@ -42,8 +42,8 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
     gamma_ = 1.0 / (static_cast<double>(x.cols()) * std::max(var, 1e-9));
   }
 
-  // Cached Gram matrix: all pairwise kernels (n is bounded by the dataset
-  // sizes in this library; 2k records -> 32 MB, acceptable).
+  // Cached Gram matrix: all pairwise kernels, O(n^2) memory (8 n^2 bytes:
+  // 2k records -> 32 MB). n is bounded by the dataset sizes in this library.
   linalg::Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     k(i, i) = 1.0;
@@ -58,13 +58,11 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
   double b = 0.0;
   rng::Engine eng(opts_.seed);
 
-  auto f = [&](std::size_t i) {
-    double acc = b;
-    const auto krow = k.row(i);
-    for (std::size_t t = 0; t < n; ++t)
-      if (alpha[t] != 0.0) acc += alpha[t] * y[t] * krow[t];
-    return acc;
-  };
+  // SMO error cache (Platt 1998; Keerthi et al. 2001): err[t] = f(x_t) - y_t,
+  // kept current in O(n) per accepted step, so a KKT check or a partner read
+  // is one load. alpha = 0 and b = 0 make f = 0, so it starts at -y.
+  std::vector<double> err(n);
+  for (std::size_t t = 0; t < n; ++t) err[t] = -static_cast<double>(y[t]);
 
   const double c = opts_.c;
   const double tol = opts_.tolerance;
@@ -74,14 +72,14 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
     ++iter;
     std::size_t changed = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double ei = f(i) - y[i];
+      const double ei = err[i];
       const bool violates = (y[i] * ei < -tol && alpha[i] < c) ||
                             (y[i] * ei > tol && alpha[i] > 0.0);
       if (!violates) continue;
 
       std::size_t j = eng.uniform_index(n - 1);
       if (j >= i) ++j;
-      const double ej = f(j) - y[j];
+      const double ej = err[j];
 
       const double ai_old = alpha[i];
       const double aj_old = alpha[j];
@@ -105,10 +103,11 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
       alpha[i] = ai;
       alpha[j] = aj;
 
-      const double b1 = b - ei - y[i] * (ai - ai_old) * k(i, i) -
-                        y[j] * (aj - aj_old) * k(i, j);
-      const double b2 = b - ej - y[i] * (ai - ai_old) * k(i, j) -
-                        y[j] * (aj - aj_old) * k(j, j);
+      const double di = y[i] * (ai - ai_old);
+      const double dj = y[j] * (aj - aj_old);
+      const double b1 = b - ei - di * k(i, i) - dj * k(i, j);
+      const double b2 = b - ej - di * k(i, j) - dj * k(j, j);
+      const double b_old = b;
       if (ai > 0.0 && ai < c) {
         b = b1;
       } else if (aj > 0.0 && aj < c) {
@@ -116,6 +115,12 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
       } else {
         b = 0.5 * (b1 + b2);
       }
+
+      // err[t] += y_i dalpha_i K(i,t) + y_j dalpha_j K(j,t) + db
+      const double db = b - b_old;
+      const auto ki = k.row(i);
+      const auto kj = k.row(j);
+      for (std::size_t t = 0; t < n; ++t) err[t] += di * ki[t] + dj * kj[t] + db;
       ++changed;
     }
     passes = (changed == 0) ? passes + 1 : 0;

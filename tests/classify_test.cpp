@@ -15,6 +15,7 @@
 #include "data/synthetic.hpp"
 #include "linalg/orthogonal.hpp"
 #include "perturb/geometric.hpp"
+#include "protocol/mining_engine.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -434,6 +435,57 @@ TEST(BinarySvm, GammaHeuristicIsPositive) {
   sap::ml::BinarySvm svm;
   svm.fit(x, y);
   EXPECT_GT(svm.gamma(), 0.0);
+}
+
+/// The bench/throughput_mining pool: Diabetes (768 x 8, two classes),
+/// seed 17, min-max normalized.
+Dataset serving_pool() {
+  const Dataset raw = sap::data::make_uci("Diabetes", 17);
+  sap::data::MinMaxNormalizer norm;
+  norm.fit(raw.features());
+  return {raw.name(), norm.transform(raw.features()), raw.labels()};
+}
+
+TEST(SvmServing, TrainAccuracyPinnedOnThroughputPool) {
+  // Pinned from the plain SMO loop that recomputed f(i) per KKT check: the
+  // error cache reorders the sums, but eval-records 64 makes each report a
+  // multiple of 1/64, which low-bit drift moves only if a record changes side.
+  sap::proto::MiningEngine engine;
+  engine.set_pool(serving_pool());
+  const auto at_c = [&](double c) {
+    const auto r = engine.run({"svm-train-accuracy", {{"c", c}, {"eval-records", 64.0}}});
+    EXPECT_EQ(r.values.size(), 1u);
+    return r.values.at(0);
+  };
+  EXPECT_EQ(at_c(1.0), 0.921875);
+  EXPECT_EQ(at_c(8.0), 0.9375);
+}
+
+TEST(BinarySvm, RefitIsBitIdentical) {
+  const Dataset pool = serving_pool();
+  std::vector<int> y(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) y[i] = pool.label(i) == 0 ? -1 : 1;
+  sap::ml::BinarySvm a, b;
+  a.fit(pool.features(), y);
+  b.fit(pool.features(), y);
+  EXPECT_EQ(a.support_vector_count(), b.support_vector_count());
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    ASSERT_EQ(a.decision(pool.record(i)), b.decision(pool.record(i))) << "row " << i;
+}
+
+TEST(Svm, LargeCFitCompletesAndFitsAtLeastAsWell) {
+  // C = 1000 is the svm-train-accuracy job's upper bound: a harder margin
+  // takes more SMO steps, but must still finish and fit the training set no
+  // worse than C = 8.
+  const Dataset pool = serving_pool();
+  const auto train_acc = [&](double c) {
+    sap::ml::SvmOptions opts;
+    opts.c = c;
+    sap::ml::Svm svm(opts);
+    svm.fit(pool);
+    return sap::ml::accuracy(svm, pool);
+  };
+  EXPECT_GE(train_acc(1000.0), train_acc(8.0));
 }
 
 // ------------------------------------------------------------ Perceptron
