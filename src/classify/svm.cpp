@@ -116,7 +116,6 @@ void BinarySvm::fit(const linalg::Matrix& x, const std::vector<int>& y) {
         b = 0.5 * (b1 + b2);
       }
 
-      // err[t] += y_i dalpha_i K(i,t) + y_j dalpha_j K(j,t) + db
       const double db = b - b_old;
       const auto ki = k.row(i);
       const auto kj = k.row(j);
